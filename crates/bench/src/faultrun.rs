@@ -4,15 +4,14 @@
 //! enables injection, `--panic-rate`, `--flaky-rate`, `--timeout-rate`,
 //! `--corrupt-rate`, and `--stall-ms` shape it (see
 //! [`FaultRates::from_args`]). When `--fault-seed` is present, the binary
-//! first runs the *real* kernel once through the execution engine under a
-//! selectable [`ExecPolicy`] (`--fault-policy degraded|supervised|brownout`,
-//! default `degraded`) with a seeded random [`FaultPlan`], then prints the
-//! [`RunReport`](sfc_harness::RunReport), the
+//! first runs the *real* kernel once through the execution engine's
+//! [`ExecPolicy::Brownout`] pipeline with a seeded random [`FaultPlan`],
+//! then prints the [`RunReport`](sfc_harness::RunReport), the
 //! [`DefectMap`](sfc_harness::DefectMap), and the
 //! [`QualityMap`](sfc_harness::QualityMap) so the degraded-mode machinery
 //! is exercised (and readable) end to end before the simulated sweep
-//! starts. Under `--fault-policy brownout`, `--deadline-ms N` arms the
-//! wall-clock budget of the deadline controller.
+//! starts. `--deadline-ms N` arms the wall-clock budget of the deadline
+//! controller (absent or 0: no budget).
 //!
 //! Independently of the fault demo, `--nan-rate R` contaminates a
 //! deterministic random fraction of the *input* voxels with NaN before
@@ -24,7 +23,7 @@
 //!     --quick --fault-seed 7 --panic-rate 0.05 --timeout-rate 0.02
 //! cargo run -p sfc-bench --release --bin fig5_volrend_ivb -- \
 //!     --quick --fault-seed 11 --timeout-rate 0.3 \
-//!     --fault-policy brownout --deadline-ms 400 --nan-rate 0.001
+//!     --deadline-ms 400 --nan-rate 0.001
 //! ```
 
 use std::time::Duration;
@@ -56,31 +55,19 @@ fn supervisor(nthreads: usize, rates: &FaultRates) -> SupervisorConfig {
     }
 }
 
-/// The engine policy a demo runs under: the full graceful-degradation
-/// stack (`--fault-policy degraded`, the default), supervision without
-/// repair (`--fault-policy supervised`), or deadline-aware brownout
-/// (`--fault-policy brownout`, budget armed by `--deadline-ms`).
+/// The engine policy a demo runs under: the brownout pipeline, its
+/// wall-clock budget armed by `--deadline-ms`.
 fn demo_policy(
     args: &Args,
     nthreads: usize,
     rates: &FaultRates,
     output_range: Option<(f32, f32)>,
 ) -> ExecPolicy {
-    let cfg = supervisor(nthreads, rates);
-    match args.get_str("fault-policy", "degraded") {
-        "supervised" => ExecPolicy::Supervised(cfg),
-        "degraded" => ExecPolicy::degraded(cfg, output_range),
-        "brownout" => {
-            let deadline = match args.get_u64("deadline-ms", 0) {
-                0 => DeadlineBudget::none(),
-                ms => DeadlineBudget::with_budget(Duration::from_millis(ms)),
-            };
-            ExecPolicy::brownout(cfg, deadline, output_range)
-        }
-        other => panic!(
-            "--fault-policy expects 'degraded', 'supervised', or 'brownout', got {other:?}"
-        ),
-    }
+    let deadline = match args.get_u64("deadline-ms", 0) {
+        0 => DeadlineBudget::none(),
+        ms => DeadlineBudget::with_budget(Duration::from_millis(ms)),
+    };
+    ExecPolicy::brownout(supervisor(nthreads, rates), deadline, output_range)
 }
 
 /// Print the supervised-run report and the defect map.

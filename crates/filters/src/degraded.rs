@@ -1,40 +1,36 @@
-//! Graceful-degradation bilateral driver: partial results + typed defects.
+//! The bilateral filter on the execution engine: partial results, typed
+//! defects and a quality ladder.
 //!
 //! The plain parallel drivers ([`crate::parallel`]) abort the whole run
-//! when any pencil fails. For long sweeps that is the wrong trade: one
-//! poisoned pencil out of thousands should cost one pencil, not the run.
-//! This module adapts the bilateral filter to the execution engine's
-//! policy stack ([`sfc_harness::engine`]): [`PencilKernel`] implements
+//! when any pencil fails. For long sweeps and a serving engine that is the
+//! wrong trade: one poisoned pencil out of thousands should cost one
+//! pencil, not the run. This module adapts the bilateral filter to the
+//! execution engine ([`sfc_harness::engine`]): `PencilKernel` implements
 //! [`UnitKernel`] over the pencil decomposition (compute into a dense
 //! along-axis buffer, commit through the output layout, read back for
-//! validation), and [`try_bilateral3d_with_policy`] runs it under any
+//! validation), and [`try_bilateral3d_with_policy`] runs it under an
 //! [`ExecPolicy`]:
 //!
 //! * [`ExecPolicy::Plain`] — the unbuffered fast drivers of
 //!   [`crate::parallel`], plus a synthesized clean outcome;
-//! * [`ExecPolicy::Supervised`] — panic isolation, watchdog deadlines with
-//!   cooperative cancellation, bounded retries, buffered per-pencil commit
-//!   (an abandoned attempt never leaves a half-written pencil);
-//! * [`ExecPolicy::Degraded`] — supervision plus the engine's three-phase
-//!   pipeline: post-run validation scan (non-finite + optional plausible
-//!   output range) and a single-threaded faults-off repair pass;
-//! * [`ExecPolicy::Brownout`] — the degraded pipeline under a wall-clock
-//!   deadline, with a quality ladder: under pressure a pencil is
-//!   recomputed with a reduced stencil radius (`r → r−1 → … → 1`, see
-//!   [`FilterRun::brownout_params`]), and every such downgrade is
-//!   recorded in the outcome's
-//!   [`QualityMap`](sfc_harness::QualityMap).
+//! * [`ExecPolicy::Brownout`] — the engine pipeline: panic isolation,
+//!   watchdog deadlines with cooperative cancellation, bounded retries,
+//!   buffered per-pencil commit (an abandoned attempt never leaves a
+//!   half-written pencil), a post-run validation scan (non-finite +
+//!   optional plausible output range) and a single-threaded faults-off
+//!   repair pass, all under a wall-clock deadline. Under pressure a pencil
+//!   is recomputed with a reduced stencil radius (`r → r−1 → … → 1`, see
+//!   [`FilterRun::brownout_params`]), and every such downgrade is recorded
+//!   in the outcome's [`QualityMap`](sfc_harness::QualityMap).
 //!
-//! The kernel is deterministic, so a repaired pencil is bitwise identical
-//! to what a fault-free run would have produced: a run whose map ends
-//! [`DefectMap::is_whole`](sfc_harness::DefectMap::is_whole) has *exactly*
-//! the fault-free output. [`try_bilateral3d_degraded`] keeps the PR-3
-//! signature as a wrapper over the `Degraded` policy.
+//! The kernel is deterministic, so a pencil repaired at full quality is
+//! bitwise identical to what a fault-free run would have produced: a run
+//! whose map ends [`DefectMap::is_whole`](sfc_harness::DefectMap::is_whole)
+//! with an empty quality map has *exactly* the fault-free output.
 
 use sfc_core::{pencil, pencil_count, Axis, Dims3, Grid3, Layout3, SfcError, SfcResult, Volume3};
 use sfc_harness::{
-    BrownoutKernel, DegradedOutcome, ExecPolicy, Executor, FaultPlan, RunReport,
-    SupervisorConfig, UnitKernel, WorkPlan,
+    DefectMap, DegradedOutcome, ExecPolicy, Executor, FaultPlan, RunReport, UnitKernel, WorkPlan,
 };
 
 use crate::fastmath::TapConfig;
@@ -64,9 +60,7 @@ fn along(axis: Axis, i: usize, j: usize, k: usize) -> usize {
 /// of one engine run over an exclusively borrowed grid.
 struct PencilKernel<'a, V, LOut> {
     vol: &'a V,
-    kernel: SpatialKernel,
     inv: f32,
-    plan: GatherPlan,
     dims: Dims3,
     axis: Axis,
     out_layout: LOut,
@@ -74,31 +68,10 @@ struct PencilKernel<'a, V, LOut> {
     /// Photometric weight configuration (tier pre-clamped), applied at
     /// every ladder rung.
     weight: TapConfig,
-    /// Brownout quality ladder: `ladder[L-1]` holds the reduced-radius
-    /// spatial kernel and gather plan for level `L` (empty outside the
-    /// brownout policy — the rungs are never consulted elsewhere).
-    ladder: Vec<(SpatialKernel, GatherPlan)>,
-}
-
-impl<V: Volume3 + Sync, LOut: Layout3> PencilKernel<'_, V, LOut> {
-    /// Compute one pencil with an explicit kernel/plan pair (the full-
-    /// quality pair or a ladder rung).
-    fn compute_with(
-        &self,
-        kernel: &SpatialKernel,
-        plan: &GatherPlan,
-        unit: usize,
-        buf: &mut Vec<f32>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        let p = pencil(self.dims, self.axis, unit);
-        buf.clear();
-        buf.resize(p.len, 0.0);
-        bilateral_pencil(self.vol, kernel, self.inv, plan, &p, self.weight, |i, j, k, v| {
-            buf[along(p.axis, i, j, k)] = v;
-            keep_going()
-        })
-    }
+    /// The quality ladder: `rungs[L]` holds the spatial kernel and gather
+    /// plan for level `L` (`rungs[0]` is full quality; deeper rungs shrink
+    /// the stencil radius).
+    rungs: Vec<(SpatialKernel, GatherPlan)>,
 }
 
 impl<V: Volume3 + Sync, LOut: Layout3> UnitKernel for PencilKernel<'_, V, LOut> {
@@ -108,16 +81,28 @@ impl<V: Volume3 + Sync, LOut: Layout3> UnitKernel for PencilKernel<'_, V, LOut> 
         "pencil"
     }
 
+    fn max_level(&self) -> u8 {
+        (self.rungs.len() - 1) as u8
+    }
+
     /// Fill `buf[t]` with the filtered value at along-axis position `t`
     /// (the emission order of [`bilateral_pencil`] interleaves caps and
     /// interior, so sequential pushes would scramble coordinates).
     fn compute(
         &self,
         unit: usize,
+        level: u8,
         buf: &mut Vec<f32>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> bool {
-        self.compute_with(&self.kernel, &self.plan, unit, buf, keep_going)
+        let (kernel, plan) = &self.rungs[usize::from(level)];
+        let p = pencil(self.dims, self.axis, unit);
+        buf.clear();
+        buf.resize(p.len, 0.0);
+        bilateral_pencil(self.vol, kernel, self.inv, plan, &p, self.weight, |i, j, k, v| {
+            buf[along(p.axis, i, j, k)] = v;
+            keep_going()
+        })
     }
 
     fn commit(&self, unit: usize, buf: &[f32]) {
@@ -154,36 +139,14 @@ impl<V: Volume3 + Sync, LOut: Layout3> UnitKernel for PencilKernel<'_, V, LOut> 
     }
 }
 
-impl<V: Volume3 + Sync, LOut: Layout3> BrownoutKernel for PencilKernel<'_, V, LOut> {
-    fn max_level(&self) -> u8 {
-        self.ladder.len() as u8
-    }
-
-    fn compute_at(
-        &self,
-        unit: usize,
-        level: u8,
-        buf: &mut Vec<f32>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        match level {
-            0 => self.compute(unit, buf, keep_going),
-            l => {
-                let (kernel, plan) = &self.ladder[usize::from(l) - 1];
-                self.compute_with(kernel, plan, unit, buf, keep_going)
-            }
-        }
-    }
-}
-
 /// Bilateral-filter `vol` into `out` under an engine [`ExecPolicy`].
 ///
 /// `Plain` runs the unbuffered fast driver (panics propagate, `faults`
-/// ignored) and synthesizes a clean outcome; `Supervised` and `Degraded`
-/// run the buffered [`PencilKernel`] under the engine, taking their thread
-/// count from the policy's supervisor configuration. Errors are returned
-/// only for invalid *configuration* — execution failures land in the
-/// outcome, never abort the run.
+/// ignored) and synthesizes a clean outcome; `Brownout` runs the buffered
+/// `PencilKernel` through [`Executor::execute`], taking its thread count
+/// and schedule from the policy's supervisor configuration. Errors are
+/// returned only for invalid *configuration* — execution failures land in
+/// the outcome, never abort the run.
 pub fn try_bilateral3d_with_policy<V, LOut>(
     vol: &V,
     out: &mut Grid3<f32, LOut>,
@@ -198,7 +161,7 @@ where
     run.validate()?;
     if vol.dims() != out.dims() {
         return Err(SfcError::ShapeMismatch {
-            what: "bilateral3d_degraded",
+            what: "try_bilateral3d_with_policy",
             expected: format!("output dims {:?}", vol.dims()),
             actual: format!("{:?}", out.dims()),
         });
@@ -206,7 +169,7 @@ where
     let dims = vol.dims();
     let axis = run.pencil_axis;
     let n_pencils = pencil_count(dims, axis);
-    if let ExecPolicy::Plain = policy {
+    let ExecPolicy::Brownout(policy) = policy else {
         let start = std::time::Instant::now();
         crate::parallel::try_bilateral3d_into(vol, out, run)?;
         return Ok(DegradedOutcome::full_quality(
@@ -215,73 +178,33 @@ where
                 wall_time: start.elapsed(),
                 ..RunReport::default()
             },
-            sfc_harness::DefectMap::new("pencil", n_pencils),
+            DefectMap::new("pencil", n_pencils),
         ));
-    }
-    let supervisor = match policy {
-        ExecPolicy::Supervised(cfg) => cfg,
-        ExecPolicy::Degraded(p) => &p.supervisor,
-        ExecPolicy::Brownout(p) => &p.supervisor,
-        ExecPolicy::Plain => unreachable!(),
     };
-    // The quality ladder (one reduced-radius kernel/plan pair per rung)
-    // exists only under the brownout policy; other stacks never consult
-    // it, so its construction cost is not paid on their path.
-    let ladder = if matches!(policy, ExecPolicy::Brownout(_)) {
-        (1..=run.brownout_depth())
-            .map(|level| {
-                let spatial = run.brownout_params(level).spatial_kernel();
-                let plan = GatherPlan::new(&spatial, dims, axis);
-                (spatial, plan)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let spatial = run.params.spatial_kernel();
+    let rungs = (0..=run.brownout_depth())
+        .map(|level| {
+            let spatial = run.brownout_params(level).spatial_kernel();
+            let plan = GatherPlan::new(&spatial, dims, axis);
+            (spatial, plan)
+        })
+        .collect();
     let kernel = PencilKernel {
         vol,
-        plan: GatherPlan::new(&spatial, dims, axis),
-        kernel: spatial,
         inv: run.params.inv_two_sigma_range_sq(),
         dims,
         axis,
         out_layout: out.layout().clone(),
         slots: Slots(out.storage_mut().as_mut_ptr()),
         weight: run.weight.clamped(),
-        ladder,
+        rungs,
     };
-    Ok(Executor::new(supervisor.nthreads).execute_brownout(
-        &WorkPlan::from_schedule(n_pencils, supervisor.schedule),
+    let supervisor = &policy.supervisor;
+    Ok(Executor::new(supervisor.nthreads).execute(
+        &WorkPlan::new(n_pencils, supervisor.schedule),
         policy,
         &kernel,
         faults,
     ))
-}
-
-/// Bilateral-filter `vol` into `out` under the supervised pool, returning
-/// partial output plus a typed [`DefectMap`](sfc_harness::DefectMap)
-/// instead of failing the run.
-///
-/// `faults` scripts injected failures (pass [`FaultPlan::none`] for
-/// production); `output_range` is the optional inclusive plausibility
-/// interval the validation scan enforces on finite output values. This is
-/// the PR-3 entry point, now a wrapper over
-/// [`try_bilateral3d_with_policy`] with the full
-/// [`ExecPolicy::Degraded`] stack.
-pub fn try_bilateral3d_degraded<V, LOut>(
-    vol: &V,
-    out: &mut Grid3<f32, LOut>,
-    run: &FilterRun,
-    cfg: &SupervisorConfig,
-    faults: &FaultPlan,
-    output_range: Option<(f32, f32)>,
-) -> SfcResult<DegradedOutcome>
-where
-    V: Volume3 + Sync,
-    LOut: Layout3,
-{
-    try_bilateral3d_with_policy(vol, out, run, &ExecPolicy::degraded(cfg.clone(), output_range), faults)
 }
 
 #[cfg(test)]
@@ -290,7 +213,7 @@ mod tests {
     use crate::bilateral::BilateralParams;
     use crate::parallel::bilateral3d;
     use sfc_core::{ArrayOrder3, Axis, Dims3, StencilOrder, ZOrder3};
-    use sfc_harness::{DeadlineBudget, FaultKind};
+    use sfc_harness::{DeadlineBudget, FaultKind, SupervisorConfig};
     use std::time::Duration;
 
     fn test_volume(dims: Dims3) -> Vec<f32> {
@@ -324,25 +247,39 @@ mod tests {
         }
     }
 
+    /// The engine pipeline without a deadline: supervision, validation
+    /// and repair only.
+    fn no_deadline(nthreads: usize, output_range: Option<(f32, f32)>) -> ExecPolicy {
+        ExecPolicy::brownout(cfg(nthreads), DeadlineBudget::none(), output_range)
+    }
+
     #[test]
     fn fault_free_degraded_run_matches_plain_driver_bitwise() {
         let dims = Dims3::new(10, 8, 6);
         let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
-        let r = run(4);
-        let reference: Grid3<f32, ArrayOrder3> = bilateral3d(&grid, &r);
-        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
-        let outcome = try_bilateral3d_degraded(
-            &grid,
-            &mut out,
-            &r,
-            &cfg(4),
-            &FaultPlan::none(),
-            Some((0.0, 1.0)),
-        )
-        .unwrap();
-        assert!(outcome.defects.is_clean());
-        assert!(outcome.output_is_whole());
-        assert_eq!(out.to_row_major(), reference.to_row_major());
+        // Radius 0 has no ladder: its only rung must still be radius 0.
+        for radius in [0, 1] {
+            let r = FilterRun {
+                params: BilateralParams {
+                    radius,
+                    ..run(4).params
+                },
+                ..run(4)
+            };
+            let reference: Grid3<f32, ArrayOrder3> = bilateral3d(&grid, &r);
+            let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+            let outcome = try_bilateral3d_with_policy(
+                &grid,
+                &mut out,
+                &r,
+                &no_deadline(4, Some((0.0, 1.0))),
+                &FaultPlan::none(),
+            )
+            .unwrap();
+            assert!(outcome.defects.is_clean(), "radius {radius}");
+            assert!(outcome.output_is_whole(), "radius {radius}");
+            assert_eq!(out.to_row_major(), reference.to_row_major(), "radius {radius}");
+        }
     }
 
     #[test]
@@ -359,13 +296,12 @@ mod tests {
             .with(4, FaultKind::FailFirst(5)) // exceeds max_retries=1
             .with(5, FaultKind::Stall(Duration::from_secs(10)));
         let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
-        let outcome = try_bilateral3d_degraded(
+        let outcome = try_bilateral3d_with_policy(
             &grid,
             &mut out,
             &r,
-            &cfg(3),
+            &no_deadline(3, Some((0.0, 1.0))),
             &faults,
-            Some((0.0, 1.0)),
         )
         .unwrap();
         assert_eq!(outcome.defects.units(), vec![0, 2, 4, 5]);
@@ -383,7 +319,8 @@ mod tests {
         let faults = FaultPlan::none().with(1, FaultKind::CorruptOutput);
         let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
         let outcome =
-            try_bilateral3d_degraded(&grid, &mut out, &r, &cfg(2), &faults, None).unwrap();
+            try_bilateral3d_with_policy(&grid, &mut out, &r, &no_deadline(2, None), &faults)
+                .unwrap();
         assert_eq!(outcome.defects.units(), vec![1]);
         assert!(outcome.output_is_whole());
     }
@@ -393,16 +330,18 @@ mod tests {
         let dims = Dims3::cube(4);
         let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
         let mut out = Grid3::<f32, ArrayOrder3>::new(Dims3::cube(5));
-        let err = try_bilateral3d_degraded(
+        let err = try_bilateral3d_with_policy(
             &grid,
             &mut out,
             &run(2),
-            &cfg(2),
+            &no_deadline(2, None),
             &FaultPlan::none(),
-            None,
         )
         .unwrap_err();
-        assert!(matches!(err, SfcError::ShapeMismatch { .. }));
+        assert!(
+            matches!(err, SfcError::ShapeMismatch { what: "try_bilateral3d_with_policy", .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -462,30 +401,5 @@ mod tests {
         assert_eq!(outcome.quality.len(), pencil_count(dims, Axis::X));
         assert_eq!(outcome.quality.max_level(), 1);
         assert_eq!(out.to_row_major(), reference.to_row_major());
-    }
-
-    #[test]
-    fn supervised_policy_isolates_panics_without_repair() {
-        let dims = Dims3::new(8, 5, 4);
-        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
-        let r = run(2);
-        let faults = FaultPlan::none().with(3, FaultKind::Panic);
-        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
-        let supervisor = SupervisorConfig {
-            max_retries: 0,
-            ..cfg(2)
-        };
-        let outcome = try_bilateral3d_with_policy(
-            &grid,
-            &mut out,
-            &r,
-            &ExecPolicy::Supervised(supervisor),
-            &faults,
-        )
-        .unwrap();
-        // Supervised-only: the failed pencil is in the map but nothing is
-        // repaired, so the output is not whole.
-        assert_eq!(outcome.defects.units(), vec![3]);
-        assert!(!outcome.output_is_whole());
     }
 }

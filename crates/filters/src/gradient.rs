@@ -27,7 +27,7 @@ where
     LOut: Layout3,
 {
     use sfc_core::{pencil, pencil_count};
-    use sfc_harness::{run_items, Schedule};
+    use sfc_harness::{Executor, WorkPlan};
 
     let dims = vol.dims();
     let mut out = Grid3::<f32, LOut>::new(dims);
@@ -38,7 +38,7 @@ where
     let slots = Slots(out.storage_mut().as_mut_ptr());
     let slots = &slots;
     let n = pencil_count(dims, run.pencil_axis);
-    run_items(run.nthreads, n, Schedule::StaticRoundRobin, |_tid, pid| {
+    Executor::new(run.nthreads).run(&WorkPlan::static_round_robin(n), |_tid, pid| {
         let p = pencil(dims, run.pencil_axis, pid);
         for (i, j, k) in p.iter() {
             let g = gradient_voxel(vol, i, j, k);

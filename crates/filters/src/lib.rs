@@ -13,8 +13,9 @@
 //! * [`parallel`] — pencil-parallel drivers (paper's static round-robin
 //!   pencil assignment; plus a dynamic-schedule variant for the scheduling
 //!   ablation);
-//! * [`degraded`] — the graceful-degradation driver: supervised execution
-//!   with partial-result recovery, typed defect maps, and a repair pass;
+//! * [`degraded`] — the filter on the engine pipeline: supervised
+//!   execution with partial-result recovery, typed defect maps, a repair
+//!   pass, and a reduced-radius quality ladder under a deadline;
 //! * [`fastmath`] — fast photometric-weight paths: exponent LUT,
 //!   polynomial exp, runtime-dispatched SIMD tap loops behind the
 //!   [`TapConfig`] knob (the exact scalar path stays the bitwise oracle);
@@ -37,7 +38,7 @@ pub mod separable;
 pub use bilateral::{bilateral_reference, bilateral_voxel, BilateralParams};
 pub use bilateral2d::{bilateral2d, bilateral2d_pixel, Bilateral2dParams};
 pub use counters::simulate_bilateral_counters;
-pub use degraded::{try_bilateral3d_degraded, try_bilateral3d_with_policy};
+pub use degraded::try_bilateral3d_with_policy;
 pub use fastmath::{detect_tier, SimdTier, TapConfig, WeightMode};
 pub use sfc_harness::DegradedOutcome;
 pub use gaussian::{convolve_voxel, gaussian_weight, SpatialKernel};

@@ -56,6 +56,9 @@ impl FilterRun {
     /// Gaussian re-normalized over its truncated support. Level 0 returns
     /// the configured parameters unchanged.
     pub fn brownout_params(&self, level: u8) -> BilateralParams {
+        if level == 0 {
+            return self.params;
+        }
         BilateralParams {
             radius: self.params.radius.saturating_sub(level as usize).max(1),
             ..self.params
@@ -118,7 +121,7 @@ fn drive_bilateral<V, LOut>(
     let out_layout = out.layout().clone();
     let slots = Slots(out.storage_mut().as_mut_ptr());
     let slots = &slots;
-    let work = WorkPlan::from_schedule(pencil_count(dims, pencil_axis), schedule);
+    let work = WorkPlan::new(pencil_count(dims, pencil_axis), schedule);
     Executor::new(nthreads).run(&work, |_tid, pid| {
         let p = pencil(dims, pencil_axis, pid);
         bilateral_pencil(vol, &kernel, inv, &plan, &p, weight, |i, j, k, value| {

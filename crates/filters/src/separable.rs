@@ -8,7 +8,7 @@
 //! pattern that forces transposes in FFT-style pipelines.)
 
 use sfc_core::{pencil, pencil_count, Axis, Dims3, Grid3, Layout3};
-use sfc_harness::{run_items, Schedule};
+use sfc_harness::{Executor, WorkPlan};
 
 /// Precomputed 1-D Gaussian taps (unnormalized; normalization divides by
 /// the sum so clamped edges stay mean-preserving).
@@ -58,7 +58,7 @@ fn pass<L: Layout3>(
     let slots = &slots;
     let r = kernel.radius as isize;
     let n = pencil_count(dims, axis);
-    run_items(nthreads, n, Schedule::StaticRoundRobin, |_tid, pid| {
+    Executor::new(nthreads).run(&WorkPlan::static_round_robin(n), |_tid, pid| {
         let p = pencil(dims, axis, pid);
         for (i, j, k) in p.iter() {
             let (ii, jj, kk) = (i as isize, j as isize, k as isize);

@@ -176,9 +176,9 @@ impl FigArgs {
         self.args.get_usize("tile", (image / 16).max(4))
     }
 
-    /// `--deadline-ms N` — wall-clock budget for the brownout fault demo
-    /// (`--fault-policy brownout`). Absent or `0` means no budget: the
-    /// brownout stack then only downgrades via its circuit breaker.
+    /// `--deadline-ms N` — wall-clock budget for the fault demo's
+    /// brownout pipeline. Absent or `0` means no budget: the pipeline then
+    /// only downgrades via its circuit breaker.
     pub fn deadline_ms(&self) -> Option<u64> {
         match self.args.get_u64("deadline-ms", 0) {
             0 => None,

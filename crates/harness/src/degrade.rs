@@ -1,7 +1,8 @@
 //! Degraded-mode completion: typed defect maps for partial results.
 //!
-//! The supervised pool ([`crate::run_items_supervised`]) keeps a sweep
-//! alive through worker failures, but a driver still needs to say *which
+//! Supervised execution
+//! ([`Executor::run_supervised`](crate::Executor::run_supervised)) keeps a
+//! sweep alive through worker failures, but a driver still needs to say *which
 //! units of output* are untrustworthy — failed pencils of a filtered
 //! volume, failed tiles of a rendered image, regions that a post-run scan
 //! found non-finite. A [`DefectMap`] is that record: a sorted set of

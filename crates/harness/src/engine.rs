@@ -4,36 +4,34 @@
 //! volume into ordered work units (voxel pencils for the bilateral filter,
 //! §III-D; 32×32 image tiles for the raycaster, §III-E) and hand units to
 //! threads either statically round-robin or through a dynamic queue. This
-//! module implements that story **once**, as three composable pieces:
+//! module implements that story **once**:
 //!
-//! * a [`WorkPlan`] — how many units there are and how they are
-//!   partitioned across threads ([`Partition::StaticRoundRobin`] or
-//!   [`Partition::DynamicQueue`] with a configurable claim chunk);
+//! * a [`WorkPlan`] — how many units there are and which [`Schedule`]
+//!   hands them to threads;
 //! * an [`Executor`] — owns the **single** `std::thread::scope` worker
-//!   loop in the workspace. Every parallel kernel path (plain pools,
-//!   supervised pools, degraded pipelines, the cache-simulator core sweep)
-//!   funnels through [`scoped_workers`];
-//! * a stack of [`ExecPolicy`] layers — [`ExecPolicy::Plain`] (run to
-//!   completion, panics propagate), [`ExecPolicy::Supervised`] (panic
-//!   isolation, watchdog timeouts with cooperative cancellation, bounded
-//!   retry with exponential backoff), [`ExecPolicy::Degraded`]
-//!   (supervised execution with buffered per-unit commit, a typed
-//!   [`DefectMap`] over units, a post-run validation scan, and a
-//!   single-threaded faults-off repair pass), and [`ExecPolicy::Brownout`]
-//!   (the degraded pipeline under deadline-aware admission control: an
-//!   EWMA/AIMD [`DeadlineController`](crate::deadline) adapts effective
-//!   concurrency, a per-unit circuit breaker stops retrying chronically
-//!   failing units at full quality, and kernels with a [`BrownoutKernel`]
-//!   quality ladder are asked for coarser — but valid — output under
-//!   pressure, every downgrade recorded in a [`QualityMap`]).
+//!   loop in the workspace. Every parallel path (the plain kernel
+//!   drivers, supervised runs, the brownout pipeline, the cache-simulator
+//!   core sweep) funnels through `scoped_workers`;
+//! * one failure-handling pipeline, [`Executor::execute`]: supervised
+//!   execution (panic isolation, watchdog timeouts with cooperative
+//!   cancellation, bounded retry with backoff) with buffered per-unit
+//!   commit under deadline-aware admission control — an EWMA/AIMD
+//!   [`DeadlineController`](crate::deadline) adapts effective concurrency,
+//!   a per-unit circuit breaker stops retrying chronically failing units
+//!   at full quality, and a kernel's quality ladder is asked for coarser
+//!   (but valid) output under pressure — followed by a validation scan and
+//!   a single-threaded faults-off repair pass. Defects land in a
+//!   [`DefectMap`], downgrades in a [`QualityMap`].
 //!
-//! Kernels plug in through the [`UnitKernel`] trait (compute a unit into a
-//! buffer, commit it, read it back for validation) and batch their NaN
-//! tallies through the [`UnitCounters`] sink trait (one shared-atomic
-//! update per unit, not per voxel). The legacy entry points —
-//! [`run_items`](crate::run_items),
-//! [`run_items_supervised`](crate::run_items_supervised) and friends — are
-//! thin wrappers over [`Executor`] and keep their exact semantics.
+//! [`ExecPolicy`] names the two ways a kernel driver runs:
+//! [`ExecPolicy::Plain`] (the driver's own unbuffered fast path, panics
+//! propagate) and [`ExecPolicy::Brownout`] (the pipeline above; with no
+//! budget and no faults it is bitwise-identical to `Plain`).
+//!
+//! Kernels plug in through the [`UnitKernel`] trait (compute a unit at a
+//! ladder level into a buffer, commit it, read it back for validation) and
+//! batch their NaN tallies through the [`UnitCounters`] sink trait (one
+//! shared-atomic update per unit, not per voxel).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,84 +45,66 @@ use crate::deadline::{Admission, DeadlineBudget, DeadlineController, DowngradeRe
 use crate::degrade::{scan_unit, DefectMap, DegradedOutcome};
 use crate::faults::FaultPlan;
 use crate::metrics::{self, LazyCounter, Log2Histogram};
-use crate::pool::{items_for_thread, Schedule};
 use crate::supervise::{CancelToken, ItemFailure, RunReport, SupervisorConfig};
 
 // ---------------------------------------------------------------------------
 // Work plans
 // ---------------------------------------------------------------------------
 
-/// How a plan's units are split across worker threads.
+/// How a plan's units are handed to worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
+pub enum Schedule {
     /// Unit `i` is processed by thread `i % nthreads` (the paper's pencil
     /// assignment).
     StaticRoundRobin,
-    /// Threads repeatedly claim the next `chunk` unprocessed units from a
-    /// shared cursor (the paper's tile worker pool; `chunk = 1` is the
-    /// classic one-item-at-a-time queue).
-    DynamicQueue {
-        /// Units claimed per queue operation (normalized to at least 1).
-        chunk: usize,
-    },
+    /// Threads repeatedly claim the next unprocessed unit from a shared
+    /// cursor (the paper's tile worker pool).
+    Dynamic,
 }
 
-/// An ordered set of work units plus its partitioning strategy.
+/// The units thread `tid` of `nthreads` processes under static
+/// round-robin assignment. Exposed so counter simulations can replicate
+/// the native work split exactly.
+pub fn items_for_thread(
+    nitems: usize,
+    nthreads: usize,
+    tid: usize,
+) -> impl Iterator<Item = usize> {
+    debug_assert!(tid < nthreads);
+    (tid..nitems).step_by(nthreads.max(1))
+}
+
+/// An ordered set of work units plus its schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkPlan {
     nunits: usize,
-    partition: Partition,
+    schedule: Schedule,
 }
 
 impl WorkPlan {
-    /// A plan over `0..nunits` with an explicit partition. A
-    /// `DynamicQueue` chunk of 0 is normalized to 1.
-    pub fn new(nunits: usize, partition: Partition) -> Self {
-        let partition = match partition {
-            Partition::DynamicQueue { chunk } => Partition::DynamicQueue {
-                chunk: chunk.max(1),
-            },
-            p => p,
-        };
-        Self { nunits, partition }
+    /// A plan over `0..nunits` with an explicit schedule.
+    pub fn new(nunits: usize, schedule: Schedule) -> Self {
+        Self { nunits, schedule }
     }
 
     /// Static round-robin plan (pencil assignment).
     pub fn static_round_robin(nunits: usize) -> Self {
-        Self::new(nunits, Partition::StaticRoundRobin)
+        Self::new(nunits, Schedule::StaticRoundRobin)
     }
 
-    /// Dynamic-queue plan with single-unit claims (tile worker pool).
+    /// Dynamic-queue plan (tile worker pool).
     pub fn dynamic(nunits: usize) -> Self {
-        Self::new(nunits, Partition::DynamicQueue { chunk: 1 })
-    }
-
-    /// The plan matching a legacy [`Schedule`] value.
-    pub fn from_schedule(nunits: usize, schedule: Schedule) -> Self {
-        match schedule {
-            Schedule::StaticRoundRobin => Self::static_round_robin(nunits),
-            Schedule::Dynamic => Self::dynamic(nunits),
-        }
-    }
-
-    /// Number of work units.
-    pub fn nunits(&self) -> usize {
-        self.nunits
-    }
-
-    /// Partitioning strategy.
-    pub fn partition(&self) -> Partition {
-        self.partition
+        Self::new(nunits, Schedule::Dynamic)
     }
 
     /// Initial claim order for a supervised queue. A dynamic plan offers
     /// `0..nunits`; a static plan offers the concatenated per-thread
-    /// round-robin batches of the unsupervised pool, so the first claims
+    /// round-robin batches of the unsupervised split, so the first claims
     /// reproduce the static split while retries can still rebalance.
-    pub fn initial_order(&self, nthreads: usize) -> Vec<usize> {
-        match self.partition {
-            Partition::DynamicQueue { .. } => (0..self.nunits).collect(),
-            Partition::StaticRoundRobin => {
+    fn initial_order(&self, nthreads: usize) -> Vec<usize> {
+        match self.schedule {
+            Schedule::Dynamic => (0..self.nunits).collect(),
+            Schedule::StaticRoundRobin => {
                 let nthreads = nthreads.max(1);
                 let mut order = Vec::with_capacity(self.nunits);
                 for tid in 0..nthreads {
@@ -234,8 +214,8 @@ impl Executor {
             }
             return;
         }
-        match plan.partition {
-            Partition::StaticRoundRobin => {
+        match plan.schedule {
+            Schedule::StaticRoundRobin => {
                 let nthreads = self.nthreads;
                 scoped_workers(
                     nthreads,
@@ -247,19 +227,17 @@ impl Executor {
                     None::<NoMonitor>,
                 );
             }
-            Partition::DynamicQueue { chunk } => {
+            Schedule::Dynamic => {
                 let next = AtomicUsize::new(0);
                 let next = &next;
                 scoped_workers(
                     self.nthreads,
                     &|tid| loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
+                        let unit = next.fetch_add(1, Ordering::Relaxed);
+                        if unit >= n {
                             break;
                         }
-                        for unit in start..n.min(start + chunk) {
-                            worker(tid, unit);
-                        }
+                        worker(tid, unit);
                     },
                     None::<NoMonitor>,
                 );
@@ -299,11 +277,10 @@ impl Executor {
     /// fires their cancel token, and respawns replacement workers. Returns
     /// a [`RunReport`]; never panics because of worker behaviour.
     ///
-    /// The executor's thread count and the plan's partition supersede the
-    /// `nthreads`/`schedule` fields of `cfg` (the legacy wrappers pass
-    /// consistent values). Each *attempt's* outcome is accounted exactly
-    /// once (per-unit epoch CAS), and each unit contributes exactly one
-    /// unit to `completed + failed.len()`.
+    /// The executor's thread count and the plan's schedule supersede the
+    /// `nthreads`/`schedule` fields of `cfg`. Each *attempt's* outcome is
+    /// accounted exactly once (per-unit epoch CAS), and each unit
+    /// contributes exactly one unit to `completed + failed.len()`.
     pub fn run_supervised<F>(&self, plan: &WorkPlan, cfg: &SupervisorConfig, worker: F) -> RunReport
     where
         F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
@@ -361,190 +338,26 @@ impl Executor {
         }
     }
 
-    /// Execute a [`UnitKernel`] under a policy stack. All three policies
-    /// use the kernel's buffered compute/commit cycle:
-    ///
-    /// * [`ExecPolicy::Plain`] — every unit computed and committed, panics
-    ///   propagate, `faults` is ignored (fault injection requires
-    ///   supervision); the outcome is a clean [`DefectMap`].
-    /// * [`ExecPolicy::Supervised`] — supervised execution with buffered
-    ///   commit; failed units become [`DefectMap`] entries, no validation
-    ///   scan or repair.
-    /// * [`ExecPolicy::Degraded`] — the full three-phase pipeline:
-    ///   supervised execution, post-run validation scan (non-finite +
-    ///   optional plausibility range over every committed unit), and a
-    ///   single-threaded faults-off repair pass that re-computes each
-    ///   defective unit and marks it repaired when its rescan is clean.
-    /// * [`ExecPolicy::Brownout`] — the degraded pipeline under deadline
-    ///   admission control. For a plain [`UnitKernel`] (no quality
-    ///   ladder) the deadline can only shed past-budget units to the
-    ///   repair pass; kernels with a real ladder should be driven through
-    ///   [`Executor::execute_brownout`] instead.
-    pub fn execute<K: UnitKernel>(
-        &self,
-        plan: &WorkPlan,
-        policy: &ExecPolicy,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> DegradedOutcome {
-        let nunits = plan.nunits;
-        match policy {
-            ExecPolicy::Plain => {
-                let start = Instant::now();
-                let latency = unit_latency(kernel.unit_kind());
-                self.run(plan, |_tid, unit| {
-                    let t0 = Instant::now();
-                    let mut buf = Vec::new();
-                    kernel.compute(unit, &mut buf, &mut || true);
-                    kernel.commit(unit, &buf);
-                    latency.record_duration_us(t0.elapsed());
-                });
-                let outcome = DegradedOutcome::full_quality(
-                    RunReport {
-                        completed: nunits,
-                        wall_time: start.elapsed(),
-                        ..RunReport::default()
-                    },
-                    DefectMap::new(kernel.unit_kind(), nunits),
-                );
-                record_outcome_metrics(&outcome);
-                outcome
-            }
-            ExecPolicy::Supervised(cfg) => {
-                let report = self.supervised_commit_phase(plan, cfg, kernel, faults);
-                let defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-                let outcome = DegradedOutcome::full_quality(report, defects);
-                record_outcome_metrics(&outcome);
-                outcome
-            }
-            ExecPolicy::Degraded(policy) => self.run_degraded(plan, policy, kernel, faults),
-            ExecPolicy::Brownout(policy) => {
-                self.run_brownout(plan, policy, &NoLadder(kernel), faults)
-            }
-        }
-    }
-
-    /// [`Executor::execute`] for kernels with a brownout quality ladder.
-    /// Under [`ExecPolicy::Brownout`] the deadline controller may admit
-    /// units at a coarser ladder level; every other policy behaves exactly
-    /// as in [`Executor::execute`] (the ladder is never consulted).
-    pub fn execute_brownout<K: BrownoutKernel>(
-        &self,
-        plan: &WorkPlan,
-        policy: &ExecPolicy,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> DegradedOutcome {
-        match policy {
-            ExecPolicy::Brownout(policy) => self.run_brownout(plan, policy, kernel, faults),
-            other => self.execute(plan, other, kernel, faults),
-        }
-    }
-
-    /// Phase 1 of the supervised/degraded pipelines: compute each unit
-    /// into a local buffer under supervision, check the cancel token, then
-    /// commit — an abandoned attempt never leaves a half-written unit.
-    fn supervised_commit_phase<K: UnitKernel>(
-        &self,
-        plan: &WorkPlan,
-        cfg: &SupervisorConfig,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> RunReport {
-        let latency = unit_latency(kernel.unit_kind());
-        self.run_supervised(plan, cfg, |_tid, unit, token| {
-            faults.fire_cancellable(unit, token)?;
-            let t0 = Instant::now();
-            let mut buf = Vec::new();
-            let done = kernel.compute(unit, &mut buf, &mut || !token.is_cancelled());
-            if !done {
-                return Err(SfcError::Cancelled { item: unit });
-            }
-            token.bail(unit)?;
-            if faults.corrupts(unit) {
-                K::poison(&mut buf);
-            }
-            kernel.commit(unit, &buf);
-            latency.record_duration_us(t0.elapsed());
-            Ok(())
-        })
-    }
-
-    /// The generic graceful-degradation pipeline (execute → validate →
-    /// repair) shared by the bilateral and raycasting degraded drivers.
-    fn run_degraded<K: UnitKernel>(
-        &self,
-        plan: &WorkPlan,
-        policy: &DegradedPolicy,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> DegradedOutcome {
-        let nunits = plan.nunits;
-        let report = self.supervised_commit_phase(plan, &policy.supervisor, kernel, faults);
-
-        // Phase 2: typed defects from execution failures + validation scan
-        // of every successfully committed unit (failed units hold
-        // placeholder data and are already in the map).
-        let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-        let failed: Vec<usize> = defects.units();
-        let mut values = Vec::new();
-        let mut comps = Vec::new();
-        for unit in 0..nunits {
-            if failed.binary_search(&unit).is_ok() {
-                continue;
-            }
-            values.clear();
-            kernel.read_back(unit, &mut values);
-            comps.clear();
-            for &v in &values {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            scan_unit(&mut defects, unit, comps.iter().copied(), policy.output_range);
-        }
-
-        // Phase 3: single-threaded repair with faults disabled, then a
-        // rescan of the freshly computed buffer (not a read-back — the
-        // rescan judges the recomputation itself).
-        for unit in defects.units() {
-            let mut buf = Vec::new();
-            kernel.compute(unit, &mut buf, &mut || true);
-            kernel.commit(unit, &buf);
-            comps.clear();
-            for &v in &buf {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
-            let dirty = scan_unit(&mut rescan, unit, comps.iter().copied(), policy.output_range);
-            if dirty {
-                defects.merge(rescan); // genuinely bad data (e.g. NaN input)
-            } else {
-                defects.mark_repaired(unit);
-            }
-        }
-
-        let outcome = DegradedOutcome::full_quality(report, defects);
-        record_outcome_metrics(&outcome);
-        outcome
-    }
-
-    /// The brownout pipeline: the degraded execute/validate/repair cycle
-    /// with a [`DeadlineController`] deciding, per attempt, whether a unit
-    /// runs at full quality, at a coarser ladder level, or is shed past
-    /// the hard deadline straight to the repair pass.
+    /// Run a [`UnitKernel`] through the engine's one failure-handling
+    /// pipeline: supervised execution under a deadline controller that
+    /// decides, per attempt, whether a unit runs at full quality, at a
+    /// coarser ladder level, or is shed past the hard deadline straight to
+    /// the repair pass; then a validation scan of every committed unit and
+    /// a single-threaded faults-off repair of every defective one.
     ///
     /// Control flow per attempt: the admission decision is taken *before*
     /// the AIMD concurrency slot is acquired, so once the budget is
     /// exhausted the remaining queue drains at memory speed instead of
-    /// serializing through the gate. A cancelled attempt (watchdog fired
-    /// its token) never commits — the token is checked after compute — so
-    /// at most one attempt's bytes land per unit in practice; the
-    /// [`QualityMap`] records levels in commit order (last write wins).
+    /// serializing through the gate. Each unit is computed into a local
+    /// buffer and committed only after the cancel token is checked, so a
+    /// cancelled attempt (watchdog fired its token) never leaves a
+    /// half-written unit; the [`QualityMap`] records levels in commit
+    /// order (last write wins).
     ///
     /// With no budget and no failures every unit is admitted at level 0,
-    /// which the [`BrownoutKernel`] contract makes bitwise-identical to
-    /// [`UnitKernel::compute`] — so a pressure-free brownout run equals a
-    /// plain run byte for byte.
-    fn run_brownout<K: BrownoutKernel>(
+    /// which the [`UnitKernel`] contract makes full quality — so a
+    /// pressure-free run equals a plain one byte for byte.
+    pub fn execute<K: UnitKernel>(
         &self,
         plan: &WorkPlan,
         policy: &BrownoutPolicy,
@@ -572,7 +385,7 @@ impl Executor {
                 let _slot = ctl.acquire(unit, token)?;
                 faults.fire_cancellable(unit, token)?;
                 let mut buf = Vec::new();
-                let done = kernel.compute_at(unit, level, &mut buf, &mut || !token.is_cancelled());
+                let done = kernel.compute(unit, level, &mut buf, &mut || !token.is_cancelled());
                 if !done {
                     return Err(SfcError::Cancelled { item: unit });
                 }
@@ -607,57 +420,18 @@ impl Executor {
             }
         });
 
-        // Phase 2: defects from execution failures + validation scan of
-        // committed units, exactly as in the degraded pipeline.
-        let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-        let failed: Vec<usize> = defects.units();
-        let mut values = Vec::new();
-        let mut comps = Vec::new();
-        for unit in 0..nunits {
-            if failed.binary_search(&unit).is_ok() {
-                continue;
-            }
-            values.clear();
-            kernel.read_back(unit, &mut values);
-            comps.clear();
-            for &v in &values {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            scan_unit(&mut defects, unit, comps.iter().copied(), policy.output_range);
-        }
-
         let mut quality = QualityMap::new(kernel.unit_kind(), nunits);
         for (unit, level, reason) in unwrap_lock(downgrades) {
             quality.record(unit, level, reason);
         }
-
-        // Phase 3: single-threaded faults-off repair. Inside the budget
-        // the repair runs at full quality; once the budget is exhausted it
-        // runs at the deepest ladder rung — recomputing shed units at full
-        // quality would blow the very deadline that shed them.
-        let repair_level = ctl.repair_level();
-        for unit in defects.units() {
-            let mut buf = Vec::new();
-            kernel.compute_at(unit, repair_level, &mut buf, &mut || true);
-            kernel.commit(unit, &buf);
-            comps.clear();
-            for &v in &buf {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
-            let dirty = scan_unit(&mut rescan, unit, comps.iter().copied(), policy.output_range);
-            if dirty {
-                defects.merge(rescan);
-            } else {
-                defects.mark_repaired(unit);
-            }
-            if repair_level > 0 {
-                quality.record(unit, repair_level, DowngradeReason::Shed);
-            } else {
-                quality.clear(unit); // repaired at full quality
-            }
-        }
-
+        let defects = validate_and_repair(
+            kernel,
+            nunits,
+            &report,
+            policy.output_range,
+            ctl.repair_level(),
+            &mut quality,
+        );
         let outcome = DegradedOutcome {
             report,
             defects,
@@ -668,39 +442,89 @@ impl Executor {
     }
 }
 
+/// Phases 2 and 3 of [`Executor::execute`]. Phase 2 builds typed defects
+/// from the run's execution failures and scans every successfully
+/// committed unit (non-finite + optional plausibility range; failed
+/// units hold placeholder data and are already in the map). Phase 3
+/// recomputes each defective unit single-threaded with faults disabled
+/// and rescans the fresh buffer (not a read-back — the rescan judges the
+/// recomputation itself); a clean rescan marks the unit repaired.
+///
+/// The repair runs at `repair_level`: full quality inside the budget, the
+/// deepest ladder rung once it is exhausted — recomputing shed units at
+/// full quality would blow the very deadline that shed them. `quality` is
+/// updated to match what the repair committed.
+fn validate_and_repair<K: UnitKernel>(
+    kernel: &K,
+    nunits: usize,
+    report: &RunReport,
+    output_range: Option<(f32, f32)>,
+    repair_level: u8,
+    quality: &mut QualityMap,
+) -> DefectMap {
+    let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, report);
+    let failed: Vec<usize> = defects.units();
+    let mut values = Vec::new();
+    let mut comps = Vec::new();
+    for unit in 0..nunits {
+        if failed.binary_search(&unit).is_ok() {
+            continue;
+        }
+        values.clear();
+        kernel.read_back(unit, &mut values);
+        comps.clear();
+        for &v in &values {
+            K::components(v, &mut |c| comps.push(c));
+        }
+        scan_unit(&mut defects, unit, comps.iter().copied(), output_range);
+    }
+
+    for unit in defects.units() {
+        let mut buf = Vec::new();
+        kernel.compute(unit, repair_level, &mut buf, &mut || true);
+        kernel.commit(unit, &buf);
+        comps.clear();
+        for &v in &buf {
+            K::components(v, &mut |c| comps.push(c));
+        }
+        let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
+        let dirty = scan_unit(&mut rescan, unit, comps.iter().copied(), output_range);
+        if dirty {
+            defects.merge(rescan); // genuinely bad data (e.g. NaN input)
+        } else {
+            defects.mark_repaired(unit);
+        }
+        if repair_level > 0 {
+            quality.record(unit, repair_level, DowngradeReason::Shed);
+        } else {
+            quality.clear(unit); // repaired at full quality
+        }
+    }
+    defects
+}
+
 // ---------------------------------------------------------------------------
 // Policies
 // ---------------------------------------------------------------------------
 
-/// Stackable execution-policy layers (see [`Executor::execute`]).
+/// How a kernel driver (`try_bilateral3d_with_policy`,
+/// `render_with_policy`) runs its units.
 #[derive(Debug, Clone)]
 pub enum ExecPolicy {
-    /// Run to completion; worker panics propagate; no fault injection.
+    /// The driver's unbuffered fast path: run to completion, worker panics
+    /// propagate, no fault injection, a clean synthesized outcome.
     Plain,
-    /// Supervised execution: panic isolation, watchdog timeouts with
-    /// cooperative cancellation, bounded retry with backoff.
-    Supervised(SupervisorConfig),
-    /// Supervised execution plus the validate/repair pipeline.
-    Degraded(DegradedPolicy),
-    /// The degraded pipeline under deadline-aware admission control: a
+    /// The engine pipeline ([`Executor::execute`]): supervision, a
     /// wall-clock [`DeadlineBudget`], AIMD concurrency adaptation, a
-    /// per-unit circuit breaker, and the [`BrownoutKernel`] quality
-    /// ladder. With no budget and no failures this is bitwise-identical
-    /// to [`ExecPolicy::Plain`].
+    /// per-unit circuit breaker, the kernel's quality ladder, and
+    /// validate/repair. With no budget and no failures this is
+    /// bitwise-identical to [`ExecPolicy::Plain`].
     Brownout(BrownoutPolicy),
 }
 
 impl ExecPolicy {
-    /// The full graceful-degradation stack with an optional inclusive
-    /// plausibility range for finite output components.
-    pub fn degraded(supervisor: SupervisorConfig, output_range: Option<(f32, f32)>) -> Self {
-        ExecPolicy::Degraded(DegradedPolicy {
-            supervisor,
-            output_range,
-        })
-    }
-
-    /// The deadline-aware brownout stack.
+    /// The engine pipeline with an optional inclusive plausibility range
+    /// for finite output components.
     pub fn brownout(
         supervisor: SupervisorConfig,
         deadline: DeadlineBudget,
@@ -712,29 +536,9 @@ impl ExecPolicy {
             output_range,
         })
     }
-
-    /// Human-readable policy name for logs and demo banners.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecPolicy::Plain => "plain",
-            ExecPolicy::Supervised(_) => "supervised",
-            ExecPolicy::Degraded(_) => "degraded",
-            ExecPolicy::Brownout(_) => "brownout",
-        }
-    }
 }
 
-/// Configuration of the [`ExecPolicy::Degraded`] stack.
-#[derive(Debug, Clone)]
-pub struct DegradedPolicy {
-    /// Supervision parameters for the execute phase.
-    pub supervisor: SupervisorConfig,
-    /// Optional inclusive plausibility interval the validation scan
-    /// enforces on finite output components.
-    pub output_range: Option<(f32, f32)>,
-}
-
-/// Configuration of the [`ExecPolicy::Brownout`] stack.
+/// Configuration of the [`ExecPolicy::Brownout`] pipeline.
 #[derive(Debug, Clone)]
 pub struct BrownoutPolicy {
     /// Supervision parameters for the execute phase.
@@ -754,6 +558,14 @@ pub struct BrownoutPolicy {
 /// dense buffer, commits the buffer to the output, and can read a
 /// committed unit back for validation. Implementations wrap the output in
 /// a raw-pointer slot structure so disjoint units commit concurrently.
+///
+/// Each kernel has a *quality ladder*: the same unit can be computed at
+/// progressively coarser — but still valid — levels (bilateral pencils
+/// with a reduced stencil radius, raycast tiles with a larger step and a
+/// lower early-termination threshold). Level 0 *is* full quality, and
+/// every level up to [`UnitKernel::max_level`] must fill the buffer with
+/// the same shape (same length, same element order) so commit, read-back
+/// and validation are level-agnostic.
 pub trait UnitKernel: Sync {
     /// Element type of a unit's buffer (a voxel value, a pixel, …).
     type Value: Copy + Send;
@@ -761,11 +573,22 @@ pub trait UnitKernel: Sync {
     /// The unit noun used in defect maps ("pencil", "tile", …).
     fn unit_kind(&self) -> &'static str;
 
-    /// Compute `unit` into `buf` (cleared/sized by the implementation),
-    /// polling `keep_going` at a convenient granularity. Returns `false`
-    /// when aborted by `keep_going`; partial buffers are never committed.
-    fn compute(&self, unit: usize, buf: &mut Vec<Self::Value>, keep_going: &mut dyn FnMut() -> bool)
-        -> bool;
+    /// Deepest available ladder level (0 = no ladder: the kernel can only
+    /// be computed at full quality).
+    fn max_level(&self) -> u8;
+
+    /// Compute `unit` at ladder `level` (at most
+    /// [`UnitKernel::max_level`]) into `buf` (cleared/sized by the
+    /// implementation), polling `keep_going` at a convenient granularity.
+    /// Returns `false` when aborted by `keep_going`; partial buffers are
+    /// never committed.
+    fn compute(
+        &self,
+        unit: usize,
+        level: u8,
+        buf: &mut Vec<Self::Value>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> bool;
 
     /// Commit a fully computed buffer to the output. May be called
     /// concurrently for distinct units; concurrent commits of the *same*
@@ -786,86 +609,6 @@ pub trait UnitKernel: Sync {
     /// prescribes (alternating non-finite and absurd-but-finite values),
     /// so both arms of the validation scan are exercised.
     fn poison(buf: &mut [Self::Value]);
-}
-
-/// A [`UnitKernel`] with a *quality ladder*: the same unit can be
-/// computed at progressively coarser — but still valid — quality levels
-/// (bilateral pencils with a reduced stencil radius, raycast tiles with a
-/// larger step and a lower early-termination threshold). The brownout
-/// policy climbs down the ladder under deadline pressure instead of
-/// blowing the budget.
-///
-/// Contract: `compute_at(unit, 0, …)` must be **bitwise-identical** to
-/// [`UnitKernel::compute`] — level 0 *is* full quality — and every level
-/// up to [`BrownoutKernel::max_level`] must fill the buffer with the same
-/// shape (same length, same element order) so commit/read-back/validation
-/// are level-agnostic.
-pub trait BrownoutKernel: UnitKernel {
-    /// Deepest available ladder level (0 = no ladder: the kernel can only
-    /// be computed at full quality).
-    fn max_level(&self) -> u8;
-
-    /// Compute `unit` at ladder `level` (clamped to
-    /// [`BrownoutKernel::max_level`] by the engine) into `buf`, polling
-    /// `keep_going` like [`UnitKernel::compute`].
-    fn compute_at(
-        &self,
-        unit: usize,
-        level: u8,
-        buf: &mut Vec<Self::Value>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool;
-}
-
-/// Adapter giving any [`UnitKernel`] an empty quality ladder, so
-/// [`Executor::execute`] can run ladder-less kernels under
-/// [`ExecPolicy::Brownout`] (the deadline can then only shed, not
-/// coarsen).
-struct NoLadder<'a, K: UnitKernel>(&'a K);
-
-impl<K: UnitKernel> UnitKernel for NoLadder<'_, K> {
-    type Value = K::Value;
-
-    fn unit_kind(&self) -> &'static str {
-        self.0.unit_kind()
-    }
-
-    fn compute(&self, unit: usize, buf: &mut Vec<K::Value>, keep_going: &mut dyn FnMut() -> bool)
-        -> bool {
-        self.0.compute(unit, buf, keep_going)
-    }
-
-    fn commit(&self, unit: usize, buf: &[K::Value]) {
-        self.0.commit(unit, buf)
-    }
-
-    fn read_back(&self, unit: usize, buf: &mut Vec<K::Value>) {
-        self.0.read_back(unit, buf)
-    }
-
-    fn components(value: K::Value, sink: &mut dyn FnMut(f32)) {
-        K::components(value, sink)
-    }
-
-    fn poison(buf: &mut [K::Value]) {
-        K::poison(buf)
-    }
-}
-
-impl<K: UnitKernel> BrownoutKernel for NoLadder<'_, K> {
-    fn max_level(&self) -> u8 {
-        0
-    }
-
-    fn compute_at(
-        &self,
-        unit: usize,
-        _level: u8,
-        buf: &mut Vec<K::Value>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        self.0.compute(unit, buf, keep_going)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -946,7 +689,7 @@ fn record_outcome_metrics(outcome: &DegradedOutcome) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised machinery (moved here from supervise.rs so the watchdog's
+// Supervised machinery (kept in this module so the watchdog's
 // replacement workers spawn inside the same single thread scope)
 // ---------------------------------------------------------------------------
 
@@ -1185,7 +928,21 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn static_plan_order_matches_pool_split() {
+    fn round_robin_split_covers_all_items_once() {
+        let nitems = 103;
+        let nthreads = 7;
+        let mut seen = vec![0u32; nitems];
+        for tid in 0..nthreads {
+            for item in items_for_thread(nitems, nthreads, tid) {
+                seen[item] += 1;
+                assert_eq!(item % nthreads, tid);
+            }
+        }
+        assert!(seen.iter().all(|&c| c == 1));
+    }
+
+    #[test]
+    fn static_plan_order_matches_round_robin_split() {
         let plan = WorkPlan::static_round_robin(10);
         let order = plan.initial_order(3);
         let mut sorted = order.clone();
@@ -1200,25 +957,22 @@ mod tests {
     }
 
     #[test]
-    fn chunked_dynamic_queue_processes_each_unit_once() {
-        let n = 103;
-        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let plan = WorkPlan::new(n, Partition::DynamicQueue { chunk: 4 });
-        Executor::new(5).run(&plan, |_tid, unit| {
-            counts[unit].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    fn each_schedule_processes_each_unit_once() {
+        for schedule in [Schedule::StaticRoundRobin, Schedule::Dynamic] {
+            let n = 1000;
+            let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            Executor::new(8).run(&WorkPlan::new(n, schedule), |_tid, unit| {
+                counts[unit].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{schedule:?}");
+        }
     }
 
     #[test]
-    fn zero_chunk_is_normalized() {
-        let plan = WorkPlan::new(7, Partition::DynamicQueue { chunk: 0 });
-        assert_eq!(plan.partition(), Partition::DynamicQueue { chunk: 1 });
-        let seen = AtomicU64::new(0);
-        Executor::new(3).run(&plan, |_tid, _unit| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 7);
+    fn zero_units_is_a_no_op() {
+        for schedule in [Schedule::StaticRoundRobin, Schedule::Dynamic] {
+            Executor::new(4).run(&WorkPlan::new(0, schedule), |_, _| panic!("no units to run"));
+        }
     }
 
     #[test]
@@ -1283,19 +1037,24 @@ mod tests {
     }
 
     /// Toy kernel over a flat f32 output, with a scriptable set of source
-    /// units whose recomputation stays bad (NaN input analog).
+    /// units whose recomputation stays bad (NaN input analog) and a
+    /// quality ladder `depth` rungs deep: level `L > 0` writes the full-
+    /// quality value offset by `1000·L`, so a downgraded unit is visible
+    /// (and its level recoverable) from the output bytes.
     struct ToyKernel {
         out: Mutex<Vec<f32>>,
         unit_len: usize,
         always_bad: Vec<usize>,
+        depth: u8,
     }
 
     impl ToyKernel {
-        fn new(nunits: usize, unit_len: usize) -> Self {
+        fn new(nunits: usize, unit_len: usize, depth: u8) -> Self {
             Self {
                 out: Mutex::new(vec![0.0; nunits * unit_len]),
                 unit_len,
                 always_bad: Vec::new(),
+                depth,
             }
         }
     }
@@ -1307,9 +1066,14 @@ mod tests {
             "toyunit"
         }
 
+        fn max_level(&self) -> u8 {
+            self.depth
+        }
+
         fn compute(
             &self,
             unit: usize,
+            level: u8,
             buf: &mut Vec<f32>,
             keep_going: &mut dyn FnMut() -> bool,
         ) -> bool {
@@ -1321,7 +1085,7 @@ mod tests {
                 let v = if self.always_bad.contains(&unit) {
                     f32::NAN
                 } else {
-                    (unit * self.unit_len + t) as f32 * 0.5
+                    (unit * self.unit_len + t) as f32 * 0.5 + 1000.0 * f32::from(level)
                 };
                 buf.push(v);
             }
@@ -1364,46 +1128,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plain_policy_executes_every_unit_with_clean_outcome() {
-        let kernel = ToyKernel::new(9, 4);
-        let exec = Executor::new(3);
-        let outcome = exec.execute(
-            &WorkPlan::dynamic(9),
-            &ExecPolicy::Plain,
-            &kernel,
-            &FaultPlan::none(),
-        );
-        assert!(outcome.defects.is_clean());
-        assert_eq!(outcome.report.completed, 9);
-        assert_eq!(*kernel.out.lock().unwrap(), expected_output(9, 4));
+    fn policy(supervisor: SupervisorConfig, deadline: DeadlineBudget, range: Option<(f32, f32)>)
+        -> BrownoutPolicy {
+        BrownoutPolicy {
+            supervisor,
+            deadline,
+            output_range: range,
+        }
     }
 
     #[test]
-    fn degraded_policy_repairs_injected_faults_to_identical_output() {
-        let kernel = ToyKernel::new(12, 5);
+    fn execute_repairs_injected_faults_to_identical_output() {
+        let kernel = ToyKernel::new(12, 5, 2);
         let faults = FaultPlan::none()
             .with(1, FaultKind::Panic)
             .with(4, FaultKind::CorruptOutput)
             .with(6, FaultKind::FailFirst(5)); // exceeds max_retries=1
         let outcome = Executor::new(3).execute(
             &WorkPlan::static_round_robin(12),
-            &ExecPolicy::degraded(quick_cfg(3), Some((0.0, 1e6))),
+            &policy(quick_cfg(3), DeadlineBudget::none(), Some((0.0, 1e6))),
             &kernel,
             &faults,
         );
         assert_eq!(outcome.defects.units(), vec![1, 4, 6]);
         assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert!(outcome.quality.is_full_quality(), "{}", outcome.quality);
         assert_eq!(*kernel.out.lock().unwrap(), expected_output(12, 5));
     }
 
     #[test]
-    fn degraded_policy_keeps_unrepairable_units_in_the_map() {
-        let mut kernel = ToyKernel::new(6, 3);
+    fn execute_keeps_unrepairable_units_in_the_map() {
+        let mut kernel = ToyKernel::new(6, 3, 0);
         kernel.always_bad.push(2); // recomputation is NaN too
         let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(6),
-            &ExecPolicy::degraded(quick_cfg(2), None),
+            &policy(quick_cfg(2), DeadlineBudget::none(), None),
             &kernel,
             &FaultPlan::none(),
         );
@@ -1412,130 +1171,28 @@ mod tests {
     }
 
     #[test]
-    fn supervised_policy_records_failures_without_scanning() {
-        let kernel = ToyKernel::new(8, 2);
-        // CorruptOutput poisons the committed buffer but supervised-only
-        // execution does not scan, so the defect map stays empty while a
-        // panic fault is still recorded from the run report.
-        let faults = FaultPlan::none()
-            .with(3, FaultKind::CorruptOutput)
-            .with(5, FaultKind::Panic);
-        let cfg = SupervisorConfig {
-            max_retries: 0,
-            ..quick_cfg(2)
-        };
-        let outcome = Executor::new(2).execute(
-            &WorkPlan::dynamic(8),
-            &ExecPolicy::Supervised(cfg),
-            &kernel,
-            &faults,
-        );
-        assert_eq!(outcome.defects.units(), vec![5]);
-        assert_eq!(outcome.report.completed, 7);
-        assert_eq!(ExecPolicy::Plain.label(), "plain");
-    }
-
-    /// [`ToyKernel`] with a quality ladder: level `L > 0` writes the full-
-    /// quality value offset by `1000·L`, so a downgraded unit is visible
-    /// (and its level recoverable) from the output bytes.
-    struct LadderToy {
-        inner: ToyKernel,
-        depth: u8,
-    }
-
-    impl UnitKernel for LadderToy {
-        type Value = f32;
-
-        fn unit_kind(&self) -> &'static str {
-            self.inner.unit_kind()
-        }
-
-        fn compute(
-            &self,
-            unit: usize,
-            buf: &mut Vec<f32>,
-            keep_going: &mut dyn FnMut() -> bool,
-        ) -> bool {
-            self.inner.compute(unit, buf, keep_going)
-        }
-
-        fn commit(&self, unit: usize, buf: &[f32]) {
-            self.inner.commit(unit, buf)
-        }
-
-        fn read_back(&self, unit: usize, buf: &mut Vec<f32>) {
-            self.inner.read_back(unit, buf)
-        }
-
-        fn components(value: f32, sink: &mut dyn FnMut(f32)) {
-            ToyKernel::components(value, sink)
-        }
-
-        fn poison(buf: &mut [f32]) {
-            ToyKernel::poison(buf)
-        }
-    }
-
-    impl BrownoutKernel for LadderToy {
-        fn max_level(&self) -> u8 {
-            self.depth
-        }
-
-        fn compute_at(
-            &self,
-            unit: usize,
-            level: u8,
-            buf: &mut Vec<f32>,
-            keep_going: &mut dyn FnMut() -> bool,
-        ) -> bool {
-            if level == 0 {
-                return self.inner.compute(unit, buf, keep_going);
-            }
-            buf.clear();
-            for t in 0..self.inner.unit_len {
-                if !keep_going() {
-                    return false;
-                }
-                let full = (unit * self.inner.unit_len + t) as f32 * 0.5;
-                buf.push(full + 1000.0 * f32::from(level));
-            }
-            true
-        }
-    }
-
-    #[test]
     fn brownout_without_pressure_matches_plain_bitwise() {
-        let kernel = LadderToy {
-            inner: ToyKernel::new(10, 4),
-            depth: 3,
-        };
-        let outcome = Executor::new(3).execute_brownout(
+        let kernel = ToyKernel::new(10, 4, 3);
+        let outcome = Executor::new(3).execute(
             &WorkPlan::dynamic(10),
-            &ExecPolicy::brownout(quick_cfg(3), DeadlineBudget::none(), None),
+            &policy(quick_cfg(3), DeadlineBudget::none(), None),
             &kernel,
             &FaultPlan::none(),
         );
         assert!(outcome.defects.is_clean());
         assert!(outcome.quality.is_full_quality(), "{}", outcome.quality);
         assert_eq!(outcome.report.completed, 10);
-        assert_eq!(*kernel.inner.out.lock().unwrap(), expected_output(10, 4));
+        assert_eq!(*kernel.out.lock().unwrap(), expected_output(10, 4));
     }
 
     #[test]
     fn brownout_sheds_past_budget_and_records_quality() {
-        let kernel = LadderToy {
-            inner: ToyKernel::new(6, 3),
-            depth: 2,
-        };
+        let kernel = ToyKernel::new(6, 3, 2);
         // A zero budget is exhausted before the first admission: every
         // unit is shed, then repaired at the deepest ladder rung.
-        let outcome = Executor::new(2).execute_brownout(
+        let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(6),
-            &ExecPolicy::brownout(
-                quick_cfg(2),
-                DeadlineBudget::with_budget(Duration::ZERO),
-                None,
-            ),
+            &policy(quick_cfg(2), DeadlineBudget::with_budget(Duration::ZERO), None),
             &kernel,
             &FaultPlan::none(),
         );
@@ -1548,15 +1205,12 @@ mod tests {
             .iter()
             .all(|e| e.reason == DowngradeReason::Shed));
         let want: Vec<f32> = expected_output(6, 3).iter().map(|v| v + 2000.0).collect();
-        assert_eq!(*kernel.inner.out.lock().unwrap(), want);
+        assert_eq!(*kernel.out.lock().unwrap(), want);
     }
 
     #[test]
     fn brownout_breaker_admits_chronic_failures_degraded() {
-        let kernel = LadderToy {
-            inner: ToyKernel::new(8, 2),
-            depth: 2,
-        };
+        let kernel = ToyKernel::new(8, 2, 2);
         // Unit 3 fails its first two attempts; the breaker (threshold 2)
         // then admits attempt 3 straight at a degraded level instead of
         // retrying the full-quality computation.
@@ -1565,9 +1219,9 @@ mod tests {
             max_retries: 3,
             ..quick_cfg(2)
         };
-        let outcome = Executor::new(2).execute_brownout(
+        let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(8),
-            &ExecPolicy::brownout(cfg, DeadlineBudget::none(), None),
+            &policy(cfg, DeadlineBudget::none(), None),
             &kernel,
             &faults,
         );
@@ -1581,32 +1235,23 @@ mod tests {
         for v in &mut want[6..8] {
             *v += 1000.0;
         }
-        assert_eq!(*kernel.inner.out.lock().unwrap(), want);
+        assert_eq!(*kernel.out.lock().unwrap(), want);
     }
 
     #[test]
-    fn plain_kernel_under_brownout_policy_sheds_only() {
-        // execute() wraps ladder-less kernels in NoLadder: no downgraded
-        // levels exist, so even a blown budget yields full-quality
-        // repairs and an empty quality map.
-        let kernel = ToyKernel::new(5, 2);
+    fn ladderless_kernel_under_a_blown_budget_sheds_only() {
+        // No downgraded levels exist, so even a blown budget yields
+        // full-quality repairs and an empty quality map.
+        let kernel = ToyKernel::new(5, 2, 0);
         let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(5),
-            &ExecPolicy::brownout(
-                quick_cfg(2),
-                DeadlineBudget::with_budget(Duration::ZERO),
-                None,
-            ),
+            &policy(quick_cfg(2), DeadlineBudget::with_budget(Duration::ZERO), None),
             &kernel,
             &FaultPlan::none(),
         );
         assert!(outcome.output_is_whole(), "{}", outcome.defects);
         assert!(outcome.quality.is_full_quality());
         assert_eq!(*kernel.out.lock().unwrap(), expected_output(5, 2));
-        assert_eq!(
-            ExecPolicy::brownout(quick_cfg(2), DeadlineBudget::none(), None).label(),
-            "brownout"
-        );
     }
 
     #[test]

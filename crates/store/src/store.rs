@@ -20,7 +20,7 @@
 //! checksum mismatches are re-read (a flipped bit in transit vanishes on
 //! retry), persistent rot is repaired from the journal, and a brick that
 //! cannot be recovered at all is served as quiet-NaN poison so the
-//! NaN-safe kernels and the `ExecPolicy::Degraded` validation scan turn
+//! NaN-safe kernels and the engine pipeline's validation scan turn
 //! it into typed `DefectMap` entries instead of an abort.
 
 use std::collections::HashMap;

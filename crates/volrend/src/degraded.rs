@@ -1,34 +1,32 @@
-//! Graceful-degradation renderer: partial images + typed tile defects.
+//! The raycaster on the execution engine: partial images, typed tile
+//! defects and a quality ladder.
 //!
-//! [`render_degraded`] is the renderer-side twin of
-//! `sfc_filters::try_bilateral3d_degraded`: the tile decomposition runs on
-//! the execution engine ([`sfc_harness::engine`]) through [`TileKernel`],
-//! an adapter implementing [`UnitKernel`] over 32×32 image tiles (shade
-//! into a local pixel buffer, commit to the framebuffer, read back for
-//! validation). [`render_with_policy`] selects the policy stack:
+//! The renderer-side twin of `sfc_filters::try_bilateral3d_with_policy`:
+//! the tile decomposition runs on the execution engine
+//! ([`sfc_harness::engine`]) through `TileKernel`, an adapter
+//! implementing [`UnitKernel`] over 32×32 image tiles (shade into a local
+//! pixel buffer, commit to the framebuffer, read back for validation).
+//! [`render_with_policy`] takes an [`ExecPolicy`]:
 //!
 //! * [`ExecPolicy::Plain`] — the unbuffered fast [`render`] driver plus a
 //!   synthesized clean outcome;
-//! * [`ExecPolicy::Supervised`] — panic isolation, watchdog deadlines with
-//!   cooperative cancellation, bounded retries, buffered per-tile commit
-//!   (an abandoned attempt never leaves a half-written tile);
-//! * [`ExecPolicy::Degraded`] — supervision plus the engine's validation
-//!   scan (non-finite pixel components, optional plausibility range) and
-//!   single-threaded faults-off repair pass;
-//! * [`ExecPolicy::Brownout`] — the degraded pipeline under a wall-clock
-//!   deadline, with a quality ladder: under pressure a tile is rendered
-//!   with a doubled ray step and a lower early-termination threshold per
-//!   rung ([`RenderOpts::brownout`]), every downgrade recorded in the
-//!   outcome's [`QualityMap`](sfc_harness::QualityMap).
+//! * [`ExecPolicy::Brownout`] — the engine pipeline: panic isolation,
+//!   watchdog deadlines with cooperative cancellation, bounded retries,
+//!   buffered per-tile commit (an abandoned attempt never leaves a
+//!   half-written tile), a validation scan (non-finite pixel components,
+//!   optional plausibility range) and a single-threaded faults-off repair
+//!   pass, all under a wall-clock deadline. Under pressure a tile is
+//!   rendered with a doubled ray step and a lower early-termination
+//!   threshold per rung ([`RenderOpts::brownout`]), every downgrade
+//!   recorded in the outcome's [`QualityMap`](sfc_harness::QualityMap).
 //!
 //! Raycasting is deterministic, so a run whose map ends
-//! [`is_whole`](sfc_harness::DefectMap::is_whole) is pixel-for-pixel
-//! identical to a fault-free render.
+//! [`is_whole`](sfc_harness::DefectMap::is_whole) with an empty quality
+//! map is pixel-for-pixel identical to a fault-free render.
 
 use sfc_core::{image_tiles, SfcError, SfcResult, TileRect, Volume3};
 use sfc_harness::{
-    BrownoutKernel, DefectMap, DegradedOutcome, ExecPolicy, Executor, FaultPlan, RunReport,
-    SupervisorConfig, UnitKernel, WorkPlan,
+    DefectMap, DegradedOutcome, ExecPolicy, Executor, FaultPlan, RunReport, UnitKernel, WorkPlan,
 };
 
 use crate::camera::Camera;
@@ -50,27 +48,36 @@ struct TileKernel<'a, V> {
     vol: &'a V,
     cam: &'a Camera,
     tf: &'a TransferFunction,
-    opts: &'a RenderOpts,
     bbox: Aabb,
     tiles: &'a [TileRect],
     width: usize,
     slots: PixelSlots,
-    /// Brownout quality ladder: `ladder[L-1]` holds the coarsened render
-    /// options for level `L` (empty outside the brownout policy).
-    ladder: Vec<RenderOpts>,
+    /// The quality ladder: `rungs[L]` holds the render options for level
+    /// `L` (`rungs[0]` is full quality; deeper rungs march coarser).
+    rungs: Vec<RenderOpts>,
 }
 
-impl<V: Volume3 + Sync> TileKernel<'_, V> {
-    /// Shade one tile with explicit render options (full quality or a
-    /// ladder rung), polling `keep_going` once per pixel. NaN-sample
+impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
+    type Value = Rgba;
+
+    fn unit_kind(&self) -> &'static str {
+        "tile"
+    }
+
+    fn max_level(&self) -> u8 {
+        (self.rungs.len() - 1) as u8
+    }
+
+    /// Shade one tile, polling `keep_going` once per pixel. NaN-sample
     /// counts seen so far are flushed even when aborted.
-    fn compute_with(
+    fn compute(
         &self,
-        opts: &RenderOpts,
         unit: usize,
+        level: u8,
         buf: &mut Vec<Rgba>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> bool {
+        let opts = &self.rungs[usize::from(level)];
         let tile = self.tiles[unit];
         buf.clear();
         buf.reserve(tile.area());
@@ -88,23 +95,6 @@ impl<V: Volume3 + Sync> TileKernel<'_, V> {
         }
         crate::counters::record_nan_samples(nan_seen);
         completed
-    }
-}
-
-impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
-    type Value = Rgba;
-
-    fn unit_kind(&self) -> &'static str {
-        "tile"
-    }
-
-    fn compute(
-        &self,
-        unit: usize,
-        buf: &mut Vec<Rgba>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        self.compute_with(self.opts, unit, buf, keep_going)
     }
 
     fn commit(&self, unit: usize, buf: &[Rgba]) {
@@ -146,35 +136,15 @@ impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
     }
 }
 
-impl<V: Volume3 + Sync> BrownoutKernel for TileKernel<'_, V> {
-    fn max_level(&self) -> u8 {
-        self.ladder.len() as u8
-    }
-
-    fn compute_at(
-        &self,
-        unit: usize,
-        level: u8,
-        buf: &mut Vec<Rgba>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        let opts = match level {
-            0 => self.opts,
-            l => &self.ladder[usize::from(l) - 1],
-        };
-        self.compute_with(opts, unit, buf, keep_going)
-    }
-}
-
 /// Render a full image under an engine [`ExecPolicy`], returning the
 /// (possibly partial) framebuffer plus a typed outcome.
 ///
 /// `Plain` runs the unbuffered fast [`render`] driver (panics propagate,
-/// `faults` ignored) and synthesizes a clean outcome; `Supervised` and
-/// `Degraded` run the buffered [`TileKernel`] under the engine, taking
-/// their thread count from the policy's supervisor configuration. Errors
-/// are returned only for invalid configuration — execution failures land
-/// in the outcome.
+/// `faults` ignored) and synthesizes a clean outcome; `Brownout` runs the
+/// buffered `TileKernel` through [`Executor::execute`], taking its
+/// thread count and schedule from the policy's supervisor configuration.
+/// Errors are returned only for invalid configuration — execution
+/// failures land in the outcome.
 pub fn render_with_policy<V: Volume3 + Sync>(
     vol: &V,
     cam: &Camera,
@@ -192,7 +162,7 @@ pub fn render_with_policy<V: Volume3 + Sync>(
     let (w, h) = (cam.width(), cam.height());
     let tiles = image_tiles(w, h, opts.tile, opts.tile);
     let ntiles = tiles.len();
-    if let ExecPolicy::Plain = policy {
+    let ExecPolicy::Brownout(policy) = policy else {
         let start = std::time::Instant::now();
         let img = render(vol, cam, tf, opts);
         return Ok((
@@ -206,72 +176,42 @@ pub fn render_with_policy<V: Volume3 + Sync>(
                 DefectMap::new("tile", ntiles),
             ),
         ));
-    }
-    let supervisor = match policy {
-        ExecPolicy::Supervised(cfg) => cfg,
-        ExecPolicy::Degraded(p) => &p.supervisor,
-        ExecPolicy::Brownout(p) => &p.supervisor,
-        ExecPolicy::Plain => unreachable!(),
     };
     let bbox = Aabb::of_dims(vol.dims());
-    // The quality ladder exists only under the brownout policy. The
-    // coarsened step is clamped to the volume diagonal so even the
-    // deepest rung marches at least one sample through the box.
-    let ladder: Vec<RenderOpts> = if matches!(policy, ExecPolicy::Brownout(_)) {
-        let max_step = bbox.diagonal();
-        (1..=RenderOpts::BROWNOUT_DEPTH)
-            .map(|level| {
-                let mut rung = opts.brownout(level);
+    // Coarsened rungs clamp their step to the volume diagonal so even the
+    // deepest rung marches at least one sample through the box; rung 0
+    // keeps the caller's options untouched.
+    let max_step = bbox.diagonal();
+    let rungs = (0..=RenderOpts::BROWNOUT_DEPTH)
+        .map(|level| {
+            let mut rung = opts.brownout(level);
+            if level > 0 {
                 rung.step = rung.step.min(max_step);
-                rung
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+            }
+            rung
+        })
+        .collect();
     let mut img = Image::new(w, h);
     let outcome = {
         let kernel = TileKernel {
             vol,
             cam,
             tf,
-            opts,
             bbox,
             tiles: &tiles,
             width: w,
             slots: PixelSlots(img.pixels_mut().as_mut_ptr()),
-            ladder,
+            rungs,
         };
-        Executor::new(supervisor.nthreads).execute_brownout(
-            &WorkPlan::from_schedule(ntiles, supervisor.schedule),
+        let supervisor = &policy.supervisor;
+        Executor::new(supervisor.nthreads).execute(
+            &WorkPlan::new(ntiles, supervisor.schedule),
             policy,
             &kernel,
             faults,
         )
     };
     Ok((img, outcome))
-}
-
-/// Render a full image under the supervised pool, returning the partial
-/// framebuffer plus a typed [`DefectMap`] over tiles instead of failing
-/// the frame.
-///
-/// `faults` scripts injected failures (pass [`FaultPlan::none`] for
-/// production); `pixel_range` is the optional inclusive plausibility
-/// interval for finite pixel components (front-to-back compositing of an
-/// in-range transfer function keeps every component in `[0, 1]`). This is
-/// the PR-3 entry point, now a wrapper over [`render_with_policy`] with
-/// the full [`ExecPolicy::Degraded`] stack.
-pub fn render_degraded<V: Volume3 + Sync>(
-    vol: &V,
-    cam: &Camera,
-    tf: &TransferFunction,
-    opts: &RenderOpts,
-    cfg: &SupervisorConfig,
-    faults: &FaultPlan,
-    pixel_range: Option<(f32, f32)>,
-) -> SfcResult<(Image, DegradedOutcome)> {
-    render_with_policy(vol, cam, tf, opts, &ExecPolicy::degraded(cfg.clone(), pixel_range), faults)
 }
 
 #[cfg(test)]
@@ -281,7 +221,7 @@ mod tests {
     use crate::render::render;
     use crate::vec3::vec3;
     use sfc_core::{Dims3, FnVolume};
-    use sfc_harness::FaultKind;
+    use sfc_harness::{DeadlineBudget, FaultKind, SupervisorConfig};
     use std::time::Duration;
 
     fn sphere_volume(n: usize) -> FnVolume<impl Fn(usize, usize, usize) -> f32> {
@@ -323,6 +263,12 @@ mod tests {
         }
     }
 
+    /// The engine pipeline without a deadline: supervision, validation
+    /// and repair only.
+    fn no_deadline(nthreads: usize, pixel_range: Option<(f32, f32)>) -> ExecPolicy {
+        ExecPolicy::brownout(cfg(nthreads), DeadlineBudget::none(), pixel_range)
+    }
+
     fn opts(nthreads: usize) -> RenderOpts {
         RenderOpts {
             nthreads,
@@ -338,14 +284,13 @@ mod tests {
         let tf = TransferFunction::fire();
         let o = opts(4);
         let reference = render(&vol, &cam, &tf, &o);
-        let (img, outcome) = render_degraded(
+        let (img, outcome) = render_with_policy(
             &vol,
             &cam,
             &tf,
             &o,
-            &cfg(4),
+            &no_deadline(4, Some((0.0, 1.0))),
             &FaultPlan::none(),
-            Some((0.0, 1.0)),
         )
         .unwrap();
         assert!(outcome.defects.is_clean());
@@ -364,14 +309,13 @@ mod tests {
             .with(3, FaultKind::CorruptOutput)
             .with(5, FaultKind::Stall(Duration::from_secs(10)))
             .with(7, FaultKind::FailFirst(9));
-        let (img, outcome) = render_degraded(
+        let (img, outcome) = render_with_policy(
             &vol,
             &cam,
             &tf,
             &o,
-            &cfg(3),
+            &no_deadline(3, Some((0.0, 1.0))),
             &faults,
-            Some((0.0, 1.0)),
         )
         .unwrap();
         assert_eq!(outcome.defects.units(), vec![0, 3, 5, 7]);
@@ -392,7 +336,7 @@ mod tests {
         let reference = render(&vol, &cam, &tf, &coarse);
         let policy = ExecPolicy::brownout(
             cfg(2),
-            sfc_harness::DeadlineBudget::with_budget(Duration::ZERO),
+            DeadlineBudget::with_budget(Duration::ZERO),
             Some((0.0, 1.0)),
         );
         let (img, outcome) =
@@ -411,7 +355,7 @@ mod tests {
         let o = opts(2);
         let reference = render(&vol, &cam, &tf, &o);
         let policy =
-            ExecPolicy::brownout(cfg(2), sfc_harness::DeadlineBudget::none(), Some((0.0, 1.0)));
+            ExecPolicy::brownout(cfg(2), DeadlineBudget::none(), Some((0.0, 1.0)));
         let (img, outcome) =
             render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
         assert!(outcome.defects.is_clean());
@@ -426,14 +370,13 @@ mod tests {
             step: 0.0,
             ..opts(1)
         };
-        let err = render_degraded(
+        let err = render_with_policy(
             &vol,
             &camera(8, 16),
             &TransferFunction::fire(),
             &bad,
-            &cfg(1),
+            &no_deadline(1, None),
             &FaultPlan::none(),
-            None,
         )
         .unwrap_err();
         assert!(matches!(err, SfcError::InvalidParameter { name: "step", .. }));
@@ -452,29 +395,5 @@ mod tests {
         assert!(outcome.defects.is_clean());
         assert_eq!(outcome.report.completed, 4); // 32/16 = 2x2 tiles
         assert_eq!(img.pixels(), reference.pixels());
-    }
-
-    #[test]
-    fn supervised_policy_isolates_tile_panics_without_repair() {
-        let vol = sphere_volume(16);
-        let cam = camera(16, 48); // 3x3 tiles
-        let tf = TransferFunction::grayscale();
-        let o = opts(2);
-        let faults = FaultPlan::none().with(4, FaultKind::Panic);
-        let supervisor = SupervisorConfig {
-            max_retries: 0,
-            ..cfg(2)
-        };
-        let (_, outcome) = render_with_policy(
-            &vol,
-            &cam,
-            &tf,
-            &o,
-            &ExecPolicy::Supervised(supervisor),
-            &faults,
-        )
-        .unwrap();
-        assert_eq!(outcome.defects.units(), vec![4]);
-        assert!(!outcome.output_is_whole());
     }
 }

@@ -15,6 +15,9 @@
 //! * [`transfer`] — piecewise-linear transfer functions;
 //! * [`sampler`] — trilinear reconstruction over any `Volume3`;
 //! * [`render`] — tile-parallel front-to-back compositing renderer;
+//! * [`degraded`] — the renderer on the engine pipeline: typed tile
+//!   defects, a repair pass, and a coarser-step quality ladder under a
+//!   deadline;
 //! * [`image`] — float RGBA framebuffer;
 //! * [`counters`] — simulated cache counters for a rendered frame.
 
@@ -33,7 +36,7 @@ pub mod vec3;
 
 pub use camera::{orbit_viewpoints, Camera, Projection};
 pub use counters::{nan_samples, reset_nan_samples, simulate_render_counters};
-pub use degraded::{render_degraded, render_with_policy};
+pub use degraded::render_with_policy;
 pub use image::Image;
 pub use ray::{Aabb, Ray};
 pub use render::{render, render_tile, shade_ray, RenderOpts};

@@ -199,7 +199,7 @@ pub fn render<V: Volume3 + Sync>(
     let mut img = Image::new(w, h);
     let slots = PixelSlots(img.pixels_mut().as_mut_ptr());
     let slots = &slots;
-    let plan = WorkPlan::from_schedule(tiles.len(), opts.schedule);
+    let plan = WorkPlan::new(tiles.len(), opts.schedule);
     Executor::new(opts.nthreads).run(&plan, |_tid, t| {
         render_tile(vol, cam, tf, opts, tiles[t], |x, y, c| {
             // SAFETY: tiles partition the image, so each (x, y) is written

@@ -119,7 +119,7 @@ pub fn render_lit<V: Volume3 + Sync>(
     light: &Light,
 ) -> crate::image::Image {
     use sfc_core::image_tiles;
-    use sfc_harness::run_items;
+    use sfc_harness::{Executor, WorkPlan};
 
     let (w, h) = (cam.width(), cam.height());
     let tiles = image_tiles(w, h, opts.tile, opts.tile);
@@ -129,7 +129,8 @@ pub fn render_lit<V: Volume3 + Sync>(
     unsafe impl Sync for PixelSlots {}
     let slots = PixelSlots(img.pixels_mut().as_mut_ptr());
     let slots = &slots;
-    run_items(opts.nthreads, tiles.len(), opts.schedule, |_tid, ti| {
+    let plan = WorkPlan::new(tiles.len(), opts.schedule);
+    Executor::new(opts.nthreads).run(&plan, |_tid, ti| {
         for (x, y) in tiles[ti].pixels() {
             let ray = cam.ray_for_pixel(x, y);
             let c = shade_ray_lit(vol, tf, opts, light, &ray, &bbox);

@@ -336,7 +336,11 @@ fn brownout_without_pressure_is_bitwise_identical_to_plain_across_layouts() {
     // stack is pure overhead — admission always grants full quality, so
     // the output must be bitwise-identical to the Plain policy and the
     // QualityMap must stay empty, for every layout and both kernels.
-    use sfc_repro::harness::FaultPlan;
+    // The same holds under a fixed fault plan (a panicking unit, a
+    // corrupted commit, a unit failing past its retry budget): with one
+    // retry the circuit breaker never trips, so every defect is repaired
+    // at full quality.
+    use sfc_repro::harness::{FaultKind, FaultPlan};
     use std::time::Duration;
 
     let cfg = SupervisorConfig {
@@ -349,6 +353,16 @@ fn brownout_without_pressure_is_bitwise_identical_to_plain_across_layouts() {
     };
     let brownout = ExecPolicy::brownout(cfg, DeadlineBudget::none(), None);
     let faults = FaultPlan::none();
+    let fault_plans = [
+        ("no faults", FaultPlan::none()),
+        (
+            "fixed faults",
+            FaultPlan::none()
+                .with(1, FaultKind::Panic)
+                .with(4, FaultKind::CorruptOutput)
+                .with(6, FaultKind::FailFirst(5)),
+        ),
+    ];
 
     // Bilateral: Plain oracle on array order pins every layout.
     let dims = Dims3::new(14, 12, 10);
@@ -381,7 +395,7 @@ fn brownout_without_pressure_is_bitwise_identical_to_plain_across_layouts() {
             "{label}: no-pressure brownout must not downgrade, got {}",
             outcome.quality
         );
-        assert!(outcome.output_is_whole(), "{label}: must end whole");
+        assert!(outcome.output_is_whole(), "{label}: must end whole, got {}", outcome.defects);
         for (i, (g, o)) in out.to_row_major().iter().zip(oracle).enumerate() {
             assert!(
                 g.to_bits() == o.to_bits(),
@@ -389,16 +403,18 @@ fn brownout_without_pressure_is_bitwise_identical_to_plain_across_layouts() {
             );
         }
     }
-    bilateral_case(&a, &run, &brownout, &faults, "bilateral array", &oracle);
-    bilateral_case(
-        &a.convert::<ZOrder3>(), &run, &brownout, &faults, "bilateral z-order", &oracle,
+    let (z, t, h) = (
+        a.convert::<ZOrder3>(),
+        a.convert::<Tiled3>(),
+        a.convert::<HilbertOrder3>(),
     );
-    bilateral_case(
-        &a.convert::<Tiled3>(), &run, &brownout, &faults, "bilateral tiled", &oracle,
-    );
-    bilateral_case(
-        &a.convert::<HilbertOrder3>(), &run, &brownout, &faults, "bilateral hilbert", &oracle,
-    );
+    for (what, faults) in &fault_plans {
+        let label = |layout: &str| format!("bilateral {layout}, {what}");
+        bilateral_case(&a, &run, &brownout, faults, &label("array"), &oracle);
+        bilateral_case(&z, &run, &brownout, faults, &label("z-order"), &oracle);
+        bilateral_case(&t, &run, &brownout, faults, &label("tiled"), &oracle);
+        bilateral_case(&h, &run, &brownout, faults, &label("hilbert"), &oracle);
+    }
 
     // Raycast: same contract, pinned on an oblique orbit viewpoint.
     let vdims = Dims3::cube(16);
@@ -429,40 +445,41 @@ fn brownout_without_pressure_is_bitwise_identical_to_plain_across_layouts() {
         .flat_map(|p| [p.r, p.g, p.b, p.a])
         .collect();
 
+    #[allow(clippy::too_many_arguments)]
     fn render_case<V: Volume3 + Sync>(
         vol: &V,
         cam: &Camera,
         tf: &TransferFunction,
         opts: &RenderOpts,
         policy: &ExecPolicy,
+        faults: &sfc_repro::harness::FaultPlan,
         label: &str,
         oracle: &[f32],
     ) {
-        let faults = sfc_repro::harness::FaultPlan::none();
         let (img, outcome) =
-            volrend::render_with_policy(vol, cam, tf, opts, policy, &faults).unwrap();
+            volrend::render_with_policy(vol, cam, tf, opts, policy, faults).unwrap();
         assert!(
             outcome.quality.is_full_quality(),
             "{label}: no-pressure brownout must not downgrade, got {}",
             outcome.quality
         );
-        assert!(outcome.output_is_whole(), "{label}: must end whole");
+        assert!(outcome.output_is_whole(), "{label}: must end whole, got {}", outcome.defects);
         let got: Vec<f32> = img.pixels().iter().flat_map(|p| [p.r, p.g, p.b, p.a]).collect();
         assert_bits_equal(label, &got, oracle);
     }
-    render_case(&va, cam, &tf, &opts, &brownout, "raycast array", &pixel_oracle);
-    render_case(
-        &va.convert::<ZOrder3>(), cam, &tf, &opts, &brownout,
-        "raycast z-order", &pixel_oracle,
+    let (vz, vt, vh) = (
+        va.convert::<ZOrder3>(),
+        va.convert::<Tiled3>(),
+        va.convert::<HilbertOrder3>(),
     );
-    render_case(
-        &va.convert::<Tiled3>(), cam, &tf, &opts, &brownout,
-        "raycast tiled", &pixel_oracle,
-    );
-    render_case(
-        &va.convert::<HilbertOrder3>(), cam, &tf, &opts, &brownout,
-        "raycast hilbert", &pixel_oracle,
-    );
+    for (what, faults) in &fault_plans {
+        let label = |layout: &str| format!("raycast {layout}, {what}");
+        let px = &pixel_oracle;
+        render_case(&va, cam, &tf, &opts, &brownout, faults, &label("array"), px);
+        render_case(&vz, cam, &tf, &opts, &brownout, faults, &label("z-order"), px);
+        render_case(&vt, cam, &tf, &opts, &brownout, faults, &label("tiled"), px);
+        render_case(&vh, cam, &tf, &opts, &brownout, faults, &label("hilbert"), px);
+    }
 }
 
 #[test]
