@@ -8,14 +8,12 @@
 //! per-unit output quality for latency instead:
 //!
 //! * a [`DeadlineBudget`] — an optional wall-clock budget for the whole
-//!   run plus the knobs of the per-unit control loop (EWMA smoothing,
-//!   soft-deadline headroom, circuit-breaker threshold, AIMD floor);
+//!   run;
 //! * a [`DeadlineController`] — the runtime state: an online EWMA of unit
 //!   latency (observed over successes *and* failed attempts, so a stall
-//!   storm raises it), an AIMD limit on effective concurrency (additive
-//!   +1 per on-time unit, halved when a unit overruns its soft deadline
-//!   `EWMA × headroom`), a per-unit failed-attempt counter (the circuit
-//!   breaker), and the admission decision combining them;
+//!   storm raises it), a per-unit failed-attempt counter (the circuit
+//!   breaker), and the admission decision combining them. There is no
+//!   concurrency gate: every worker thread the run was given computes;
 //! * a [`QualityMap`] — the mirror of
 //!   [`DefectMap`](crate::degrade::DefectMap) for *quality*: every unit
 //!   that was computed below full quality is recorded with its ladder
@@ -30,10 +28,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use sfc_core::{SfcError, SfcResult};
-
 use crate::metrics::{LazyCounter, LazyGauge};
-use crate::supervise::CancelToken;
 
 // Process-wide mirrors of the per-run controller state, on the metrics
 // plane: every controller folds its events into these as they happen
@@ -42,42 +37,24 @@ use crate::supervise::CancelToken;
 static SHED_TOTAL: LazyCounter = LazyCounter::new("deadline.shed");
 static DOWNGRADES_TOTAL: LazyCounter = LazyCounter::new("deadline.downgrades");
 static BREAKER_TOTAL: LazyCounter = LazyCounter::new("deadline.breaker_trips");
-static OVERRUNS_TOTAL: LazyCounter = LazyCounter::new("deadline.overruns");
 static EWMA_GAUGE: LazyGauge = LazyGauge::new("deadline.ewma_us");
-static WINDOW_GAUGE: LazyGauge = LazyGauge::new("deadline.window");
 
-/// Wall-clock budget and control-loop knobs for a brownout run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Smoothing factor of the online unit-latency EWMA, in `(0, 1]`
+/// (higher = reacts faster to a latency shift).
+const EWMA_ALPHA: f64 = 0.2;
+
+/// Failed attempts after which a unit's circuit breaker trips: further
+/// attempts are admitted straight at degraded quality instead of retrying
+/// the full-quality computation.
+const BREAKER_THRESHOLD: u32 = 2;
+
+/// Wall-clock budget for a brownout run.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeadlineBudget {
     /// Wall-clock budget for the whole run. `None` disables deadline
     /// pressure and shedding — only the circuit breaker can then downgrade
     /// a unit (and only after failed attempts).
     pub budget: Option<Duration>,
-    /// Smoothing factor of the online unit-latency EWMA, in `(0, 1]`
-    /// (higher = reacts faster to a latency shift).
-    pub ewma_alpha: f64,
-    /// A unit's *soft deadline* is `EWMA × soft_deadline_factor`; an
-    /// attempt that takes longer counts as an overrun and halves the AIMD
-    /// concurrency limit.
-    pub soft_deadline_factor: f64,
-    /// Failed attempts after which a unit's circuit breaker trips: further
-    /// attempts are admitted straight at degraded quality instead of
-    /// retrying the full-quality computation.
-    pub breaker_threshold: u32,
-    /// Floor of the AIMD effective-concurrency limit.
-    pub min_concurrency: usize,
-}
-
-impl Default for DeadlineBudget {
-    fn default() -> Self {
-        Self {
-            budget: None,
-            ewma_alpha: 0.2,
-            soft_deadline_factor: 4.0,
-            breaker_threshold: 2,
-            min_concurrency: 1,
-        }
-    }
 }
 
 impl DeadlineBudget {
@@ -87,11 +64,10 @@ impl DeadlineBudget {
         Self::default()
     }
 
-    /// The default control loop under a wall-clock budget.
+    /// A wall-clock budget for the whole run.
     pub fn with_budget(budget: Duration) -> Self {
         Self {
             budget: Some(budget),
-            ..Self::default()
         }
     }
 }
@@ -100,7 +76,7 @@ impl DeadlineBudget {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DowngradeReason {
     /// Deadline pressure: the projected completion of the remaining units
-    /// (EWMA × remaining / effective concurrency) exceeded the remaining
+    /// (EWMA × remaining / worker threads) exceeded the remaining
     /// budget, so healthy units were coarsened to catch up.
     Pressure,
     /// The unit's circuit breaker tripped after repeated failed attempts;
@@ -276,7 +252,7 @@ pub(crate) enum Admission {
 /// every worker thread; all state is atomic.
 #[derive(Debug)]
 pub(crate) struct DeadlineController {
-    cfg: DeadlineBudget,
+    budget: Option<Duration>,
     start: Instant,
     nunits: usize,
     nthreads: usize,
@@ -285,25 +261,8 @@ pub(crate) struct DeadlineController {
     ewma_us: AtomicU64,
     /// Units successfully committed so far.
     committed: AtomicUsize,
-    /// AIMD effective-concurrency limit in `[min_concurrency, nthreads]`.
-    limit: AtomicUsize,
-    /// Units currently holding an admission slot.
-    inflight: AtomicUsize,
-    /// Soft-deadline overruns observed (each one halves `limit`).
-    overruns: AtomicUsize,
-    /// Units shed past the hard deadline.
-    shed: AtomicUsize,
     /// Per-unit failed-attempt counts (the circuit breaker's memory).
     failures: Vec<AtomicU32>,
-}
-
-/// RAII admission slot: holding one counts against the AIMD limit.
-pub(crate) struct SlotGuard<'a>(&'a DeadlineController);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 const EWMA_UNSET: u64 = u64::MAX;
@@ -315,19 +274,14 @@ impl DeadlineController {
         nthreads: usize,
         max_level: u8,
     ) -> Self {
-        let nthreads = nthreads.max(1);
         Self {
-            cfg: *cfg,
+            budget: cfg.budget,
             start: Instant::now(),
             nunits,
-            nthreads,
+            nthreads: nthreads.max(1),
             max_level,
             ewma_us: AtomicU64::new(EWMA_UNSET),
             committed: AtomicUsize::new(0),
-            limit: AtomicUsize::new(nthreads),
-            inflight: AtomicUsize::new(0),
-            overruns: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
             failures: (0..nunits).map(|_| AtomicU32::new(0)).collect(),
         }
     }
@@ -349,7 +303,7 @@ impl DeadlineController {
                 sample
             } else {
                 let prev = f64::from_bits(cur);
-                prev + self.cfg.ewma_alpha * (sample - prev)
+                prev + EWMA_ALPHA * (sample - prev)
             };
             match self.ewma_us.compare_exchange_weak(
                 cur,
@@ -366,17 +320,12 @@ impl DeadlineController {
         }
     }
 
-    /// The per-unit soft deadline (`EWMA × headroom`), once an EWMA exists.
-    fn soft_deadline(&self) -> Option<Duration> {
-        self.ewma()
-            .map(|us| Duration::from_secs_f64(us * self.cfg.soft_deadline_factor / 1e6))
-    }
-
     /// Ladder level demanded by deadline pressure alone: 0 while the
-    /// projected completion of the remaining units fits the remaining
-    /// budget, then one level per doubling of the overshoot ratio.
+    /// projected completion of the remaining units (EWMA × remaining /
+    /// worker threads) fits the remaining budget, then one level per
+    /// doubling of the overshoot ratio.
     fn pressure_level(&self) -> u8 {
-        let Some(budget) = self.cfg.budget else {
+        let Some(budget) = self.budget else {
             return 0;
         };
         let Some(ewma_us) = self.ewma() else {
@@ -390,8 +339,7 @@ impl DeadlineController {
             .nunits
             .saturating_sub(self.committed.load(Ordering::Relaxed))
             .max(1);
-        let concurrency = self.limit.load(Ordering::Relaxed).max(1);
-        let projected_us = ewma_us * remaining_units as f64 / concurrency as f64;
+        let projected_us = ewma_us * remaining_units as f64 / self.nthreads as f64;
         let ratio = projected_us / (remaining.as_secs_f64() * 1e6);
         if ratio <= 1.0 {
             0
@@ -401,18 +349,18 @@ impl DeadlineController {
         }
     }
 
-    /// Decide what to do with `unit` before an attempt runs. Called before
-    /// the admission slot is acquired so a shed unit never waits for one.
+    /// Decide what to do with `unit` before an attempt runs: shed it past
+    /// the hard deadline, otherwise pick the ladder level from deadline
+    /// pressure, at least one rung once the unit's breaker has tripped.
     pub(crate) fn admit(&self, unit: usize) -> Admission {
-        if let Some(budget) = self.cfg.budget {
+        if let Some(budget) = self.budget {
             if self.start.elapsed() >= budget {
-                self.shed.fetch_add(1, Ordering::Relaxed);
                 SHED_TOTAL.add(1);
                 return Admission::Shed;
             }
         }
         let tripped = self.max_level > 0
-            && self.failures[unit].load(Ordering::Relaxed) >= self.cfg.breaker_threshold;
+            && self.failures[unit].load(Ordering::Relaxed) >= BREAKER_THRESHOLD;
         let pressure = self.pressure_level();
         let level = if tripped { pressure.max(1) } else { pressure };
         let level = level.min(self.max_level);
@@ -434,81 +382,19 @@ impl DeadlineController {
         }
     }
 
-    /// Block until an admission slot is free (effective concurrency below
-    /// the AIMD limit), or until the attempt's cancel token fires. The
-    /// hard deadline is re-checked on every poll: a storm can throttle the
-    /// limit to 1 and park admitted units here, and without the re-check
-    /// each of them would still burn a full watchdog period *serially*
-    /// after the budget is already gone.
-    pub(crate) fn acquire<'a>(
-        &'a self,
-        unit: usize,
-        token: &CancelToken,
-    ) -> SfcResult<SlotGuard<'a>> {
-        loop {
-            token.bail(unit)?;
-            if let Some(budget) = self.cfg.budget {
-                if self.start.elapsed() >= budget {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    SHED_TOTAL.add(1);
-                    return Err(SfcError::Cancelled { item: unit });
-                }
-            }
-            let cur = self.inflight.load(Ordering::Acquire);
-            if cur < self.limit.load(Ordering::Acquire)
-                && self
-                    .inflight
-                    .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                return Ok(SlotGuard(self));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Account a successful commit: fold the latency into the EWMA, bump
-    /// the completion count, and run the AIMD step (additive +1 on an
-    /// on-time unit, multiplicative halving on a soft-deadline overrun).
+    /// Account a successful commit: fold the latency into the EWMA and
+    /// bump the completion count.
     pub(crate) fn on_success(&self, elapsed: Duration) {
-        let soft = self.soft_deadline();
         self.observe(elapsed);
         self.committed.fetch_add(1, Ordering::Relaxed);
-        match soft {
-            Some(soft) if elapsed > soft => self.throttle(),
-            _ => {
-                let cap = self.nthreads;
-                let _ = self
-                    .limit
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                        (l < cap).then_some(l + 1)
-                    });
-                WINDOW_GAUGE.set(self.limit.load(Ordering::Relaxed) as i64);
-            }
-        }
     }
 
     /// Account a failed attempt (error, panic, timeout): feed the circuit
-    /// breaker, fold the burnt wall-clock into the EWMA so storms raise
-    /// it, and halve the concurrency limit.
+    /// breaker and fold the burnt wall-clock into the EWMA so storms raise
+    /// it.
     pub(crate) fn on_failed_attempt(&self, unit: usize, elapsed: Duration) {
         self.failures[unit].fetch_add(1, Ordering::Relaxed);
         self.observe(elapsed);
-        self.throttle();
-    }
-
-    /// Multiplicative decrease of the AIMD limit.
-    fn throttle(&self) {
-        self.overruns.fetch_add(1, Ordering::Relaxed);
-        OVERRUNS_TOTAL.add(1);
-        let floor = self.cfg.min_concurrency.max(1);
-        let _ = self
-            .limit
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                let next = (l / 2).max(floor);
-                (next != l).then_some(next)
-            });
-        WINDOW_GAUGE.set(self.limit.load(Ordering::Relaxed) as i64);
     }
 
     /// Ladder level for the faults-off repair pass: full quality while the
@@ -516,7 +402,7 @@ impl DeadlineController {
     /// exhausted — repairing shed units at full quality would blow the
     /// very deadline that shed them.
     pub(crate) fn repair_level(&self) -> u8 {
-        match self.cfg.budget {
+        match self.budget {
             Some(budget) if self.start.elapsed() >= budget => self.max_level,
             _ => 0,
         }
@@ -563,14 +449,10 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_failures() {
-        let cfg = DeadlineBudget {
-            breaker_threshold: 2,
-            ..DeadlineBudget::none()
-        };
-        let ctl = DeadlineController::new(&cfg, 10, 2, 3);
+        let ctl = DeadlineController::new(&DeadlineBudget::none(), 10, 2, 3);
         assert_eq!(ctl.admit(7), Admission::Full);
         ctl.on_failed_attempt(7, Duration::from_millis(1));
-        assert_eq!(ctl.admit(7), Admission::Full); // 1 < threshold
+        assert_eq!(ctl.admit(7), Admission::Full); // 1 < BREAKER_THRESHOLD
         ctl.on_failed_attempt(7, Duration::from_millis(1));
         assert_eq!(
             ctl.admit(7),
@@ -605,7 +487,7 @@ mod tests {
     fn projected_overrun_applies_pressure() {
         let cfg = DeadlineBudget::with_budget(Duration::from_secs(1));
         let ctl = DeadlineController::new(&cfg, 1000, 1, 3);
-        // EWMA ~50 ms per unit, ~1000 units remaining on one slot:
+        // EWMA ~50 ms per unit, ~1000 units remaining on one thread:
         // projected ≈ 50 s against a 1 s budget → deepest rung.
         ctl.on_success(Duration::from_millis(50));
         match ctl.admit(1) {
@@ -615,50 +497,6 @@ mod tests {
             } => assert!(level >= 1),
             other => panic!("expected pressure downgrade, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn aimd_halves_on_failure_and_recovers_additively() {
-        let ctl = DeadlineController::new(&DeadlineBudget::none(), 100, 8, 2);
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 8);
-        ctl.on_failed_attempt(0, Duration::from_millis(10));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 4);
-        ctl.on_failed_attempt(1, Duration::from_millis(10));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 2);
-        // Fast (on-time) completions recover the limit one step at a time.
-        ctl.on_success(Duration::from_millis(1));
-        ctl.on_success(Duration::from_millis(1));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 4);
-        for _ in 0..10 {
-            ctl.on_success(Duration::from_millis(1));
-        }
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 8); // capped at nthreads
-    }
-
-    #[test]
-    fn soft_deadline_overrun_throttles() {
-        let ctl = DeadlineController::new(&DeadlineBudget::none(), 100, 4, 2);
-        ctl.on_success(Duration::from_millis(2)); // establishes EWMA ≈ 2 ms
-        // 2 ms EWMA × factor 4 = 8 ms soft deadline; 100 ms blows it.
-        ctl.on_success(Duration::from_millis(100));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 2);
-        assert_eq!(ctl.overruns.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn slots_gate_effective_concurrency() {
-        let ctl = DeadlineController::new(&DeadlineBudget::none(), 10, 2, 0);
-        let token = CancelToken::new();
-        let a = ctl.acquire(0, &token).unwrap();
-        let _b = ctl.acquire(1, &token).unwrap();
-        assert_eq!(ctl.inflight.load(Ordering::Relaxed), 2);
-        // Both slots taken: a cancelled waiter bails instead of spinning.
-        let blocked = CancelToken::new();
-        blocked.cancel();
-        assert!(ctl.acquire(2, &blocked).is_err());
-        drop(a);
-        assert_eq!(ctl.inflight.load(Ordering::Relaxed), 1);
-        let _c = ctl.acquire(3, &token).unwrap();
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! * one failure-handling pipeline, [`Executor::execute`]: supervised
 //!   execution (panic isolation, watchdog timeouts with cooperative
 //!   cancellation, bounded retry with backoff) with buffered per-unit
-//!   commit under deadline-aware admission control — an EWMA/AIMD
-//!   [`DeadlineController`](crate::deadline) adapts effective concurrency,
-//!   a per-unit circuit breaker stops retrying chronically failing units
-//!   at full quality, and a kernel's quality ladder is asked for coarser
-//!   (but valid) output under pressure — followed by a validation scan and
+//!   commit under deadline-aware admission control — the
+//!   [`DeadlineController`](crate::deadline) sheds units past the hard
+//!   deadline, a per-unit circuit breaker stops retrying chronically
+//!   failing units at full quality, and a kernel's quality ladder is asked
+//!   for coarser (but valid) output when the EWMA-projected completion
+//!   overshoots the budget; every worker thread computes (there is no
+//!   concurrency gate) — followed by a validation scan and
 //!   a single-threaded faults-off repair pass. Defects land in a
 //!   [`DefectMap`], downgrades in a [`QualityMap`].
 //!
@@ -345,14 +347,14 @@ impl Executor {
     /// the repair pass; then a validation scan of every committed unit and
     /// a single-threaded faults-off repair of every defective one.
     ///
-    /// Control flow per attempt: the admission decision is taken *before*
-    /// the AIMD concurrency slot is acquired, so once the budget is
-    /// exhausted the remaining queue drains at memory speed instead of
-    /// serializing through the gate. Each unit is computed into a local
-    /// buffer and committed only after the cancel token is checked, so a
-    /// cancelled attempt (watchdog fired its token) never leaves a
-    /// half-written unit; the [`QualityMap`] records levels in commit
-    /// order (last write wins).
+    /// Control flow per attempt: the admission decision is taken before
+    /// the attempt's clock starts, so once the budget is exhausted the
+    /// remaining queue drains at memory speed; the watchdog-timed attempt
+    /// covers only the fault roll and the compute. Each unit is computed
+    /// into a local buffer and committed only after the cancel token is
+    /// checked, so a cancelled attempt (watchdog fired its token) never
+    /// leaves a half-written unit; the [`QualityMap`] records levels in
+    /// commit order (last write wins).
     ///
     /// With no budget and no failures every unit is admitted at level 0,
     /// which the [`UnitKernel`] contract makes full quality — so a
@@ -372,17 +374,16 @@ impl Executor {
         let report = self.run_supervised(plan, &policy.supervisor, |_tid, unit, token| {
             let admission = ctl.admit(unit);
             let level = match admission {
-                // Past the hard deadline: shed without burning an
-                // admission slot or a fault roll. `Cancelled` is not
-                // retryable, so the unit goes straight to the defect map
-                // and is recomputed (coarsely) by the repair pass.
+                // Past the hard deadline: shed without burning a fault
+                // roll or a compute. `Cancelled` is not retryable, so the
+                // unit goes straight to the defect map and is recomputed
+                // (coarsely) by the repair pass.
                 Admission::Shed => return Err(SfcError::Cancelled { item: unit }),
                 Admission::Full => 0,
                 Admission::Degraded { level, .. } => level,
             };
             let attempt = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _slot = ctl.acquire(unit, token)?;
                 faults.fire_cancellable(unit, token)?;
                 let mut buf = Vec::new();
                 let done = kernel.compute(unit, level, &mut buf, &mut || !token.is_cancelled());
@@ -515,10 +516,10 @@ pub enum ExecPolicy {
     /// propagate, no fault injection, a clean synthesized outcome.
     Plain,
     /// The engine pipeline ([`Executor::execute`]): supervision, a
-    /// wall-clock [`DeadlineBudget`], AIMD concurrency adaptation, a
-    /// per-unit circuit breaker, the kernel's quality ladder, and
-    /// validate/repair. With no budget and no failures this is
-    /// bitwise-identical to [`ExecPolicy::Plain`].
+    /// wall-clock [`DeadlineBudget`] (shedding past it, EWMA-projected
+    /// pressure before it), a per-unit circuit breaker, the kernel's
+    /// quality ladder, and validate/repair. With no budget and no
+    /// failures this is bitwise-identical to [`ExecPolicy::Plain`].
     Brownout(BrownoutPolicy),
 }
 
@@ -543,7 +544,7 @@ impl ExecPolicy {
 pub struct BrownoutPolicy {
     /// Supervision parameters for the execute phase.
     pub supervisor: SupervisorConfig,
-    /// Wall-clock budget and control-loop knobs.
+    /// Wall-clock budget of the run.
     pub deadline: DeadlineBudget,
     /// Optional inclusive plausibility interval the validation scan
     /// enforces on finite output components.

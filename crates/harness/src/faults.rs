@@ -270,32 +270,6 @@ impl FaultPlan {
             | FaultKind::SlowIo(_) => Ok(()),
         }
     }
-
-    /// Wrap a worker closure so scripted faults fire before the real work.
-    pub fn wrap<'a, F>(&'a self, inner: F) -> impl Fn(usize, usize) -> SfcResult<()> + 'a
-    where
-        F: Fn(usize, usize) -> SfcResult<()> + 'a,
-    {
-        move |tid, item| {
-            self.fire(item)?;
-            inner(tid, item)
-        }
-    }
-
-    /// [`FaultPlan::wrap`] for cancellation-aware workers: scripted stalls
-    /// observe the supervisor's cancel token.
-    pub fn wrap_cancellable<'a, F>(
-        &'a self,
-        inner: F,
-    ) -> impl Fn(usize, usize, &CancelToken) -> SfcResult<()> + 'a
-    where
-        F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + 'a,
-    {
-        move |tid, item, token| {
-            self.fire_cancellable(item, token)?;
-            inner(tid, item, token)
-        }
-    }
 }
 
 /// Per-operation probabilities for a randomized [`IoFaultPlan`].

@@ -16,8 +16,9 @@
 //! * [`degrade`] — the typed [`DefectMap`] of failed/invalid output units
 //!   that graceful-degradation drivers return alongside partial results;
 //! * [`deadline`] — deadline-aware admission control for
-//!   [`ExecPolicy::Brownout`]: wall-clock [`DeadlineBudget`]s, an
-//!   EWMA/AIMD controller with a per-unit circuit breaker, and the
+//!   [`ExecPolicy::Brownout`]: wall-clock [`DeadlineBudget`]s, a
+//!   controller that sheds past the budget, applies EWMA-projected
+//!   pressure before it and trips a per-unit circuit breaker, and the
 //!   [`QualityMap`] recording every unit committed below full quality;
 //! * [`durable`] — crash-consistent persistence: atomic whole-file
 //!   replacement and an append-only checksummed journal with torn-tail

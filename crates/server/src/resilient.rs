@@ -277,11 +277,6 @@ impl ReplicaSet {
         &self.endpoints[i].addr
     }
 
-    /// The breaker state of endpoint `i`.
-    pub fn breaker_state(&self, i: usize) -> BreakerState {
-        self.endpoints[i].breaker.state()
-    }
-
     fn breaker(&self, i: usize) -> &CircuitBreaker {
         &self.endpoints[i].breaker
     }
@@ -301,32 +296,6 @@ impl ReplicaSet {
     fn pick_other(&self, primary: usize) -> Option<usize> {
         (0..self.endpoints.len())
             .find(|i| *i != primary && self.endpoints[*i].breaker.allow())
-    }
-
-    /// Active health check: `ping` every endpoint (with `timeout` on
-    /// connect I/O) and feed the outcome to its breaker. Returns each
-    /// endpoint's health. Unlike request traffic this bypasses
-    /// [`CircuitBreaker::allow`] — an open breaker heals as soon as its
-    /// endpoint answers a ping.
-    pub fn ping_all(&self, timeout: Duration) -> Vec<bool> {
-        self.endpoints
-            .iter()
-            .map(|ep| {
-                let up = Client::connect(&ep.addr)
-                    .and_then(|mut c| {
-                        c.set_timeout(timeout)?;
-                        c.send_line("ping")
-                    })
-                    .map(|r| r == "pong")
-                    .unwrap_or(false);
-                if up {
-                    ep.breaker.on_success();
-                } else {
-                    ep.breaker.on_failure();
-                }
-                up
-            })
-            .collect()
     }
 }
 
@@ -378,16 +347,6 @@ impl ResilientClient {
             next_id: AtomicU64::new(0),
             policy,
         }
-    }
-
-    /// The underlying replica set (breaker states, health checks).
-    pub fn replicas(&self) -> &ReplicaSet {
-        &self.replicas
-    }
-
-    /// Whole retry tokens currently available.
-    pub fn retry_tokens(&self) -> u64 {
-        self.budget.available()
     }
 
     /// Submit a logical request, riding retries/failover/hedging as

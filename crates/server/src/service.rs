@@ -240,7 +240,6 @@ impl Service {
             "deadline.shed",
             "deadline.downgrades",
             "deadline.breaker_trips",
-            "deadline.overruns",
             "store.hits",
             "store.misses",
             "store.evictions",

@@ -19,8 +19,10 @@ use sfc_repro::core::{pencil, pencil_count, ArrayOrder3, Dims3, Grid3, ZOrder3};
 use sfc_repro::datagen::{load_volume, mri_phantom, save_volume, PhantomParams};
 use sfc_repro::filters::{bilateral3d, try_bilateral3d_with_policy, BilateralParams, FilterRun};
 use sfc_repro::harness::durable::tmp_sibling;
-use sfc_repro::harness::{DeadlineBudget, ExecPolicy, FaultPlan, FaultRates, SupervisorConfig};
-use sfc_repro::prelude::{Axis, StencilOrder};
+use sfc_repro::harness::{
+    DeadlineBudget, ExecPolicy, FaultKind, FaultPlan, FaultRates, SupervisorConfig,
+};
+use sfc_repro::prelude::{Axis, StencilOrder, StencilSize};
 use sfc_repro::volrend::{
     render, render_with_policy, Camera, RenderOpts, TransferFunction,
 };
@@ -283,6 +285,78 @@ fn brownout_render_meets_its_deadline_under_a_timeout_storm_across_seeds() {
         assert!(
             outcome.output_is_whole(),
             "seed {seed:#x}: shed tiles must be repaired (coarse, not missing), got {}",
+            outcome.defects
+        );
+    }
+}
+
+#[test]
+fn fault_storm_without_a_deadline_replaces_only_stalled_workers() {
+    // The fig2 fault-demo shape (bilateral r3 on 32³, Brownout with no
+    // deadline, two retries, the watchdog below the scripted stall) under
+    // a fixed plan. Only a stalled attempt outlives the watchdog, so each
+    // stalled pencil costs at most one replacement worker per attempt;
+    // healthy pencils never time out, so the breaker can only brown out
+    // pencils whose own attempts failed.
+    let dims = Dims3::cube(32);
+    let values = mri_phantom(dims, 7, PhantomParams::default());
+    let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &values);
+    let stalled = [11, 300, 517, 902];
+    let panicking = [21, 43, 640, 777];
+    let flaky = [5, 64, 255, 1000];
+    let mut plan = FaultPlan::none();
+    for &p in &stalled {
+        plan = plan.with(p, FaultKind::Stall(Duration::from_millis(200)));
+    }
+    for &p in &panicking {
+        plan = plan.with(p, FaultKind::Panic);
+    }
+    for &p in &flaky {
+        // Two failed attempts trip the breaker: the third runs one rung
+        // lower and lands in the QualityMap.
+        plan = plan.with(p, FaultKind::FailFirst(2));
+    }
+    let max_retries = 2;
+    for nthreads in [2, 4] {
+        let run = FilterRun {
+            params: BilateralParams::for_size(StencilSize::R3, StencilOrder::Xyz),
+            pencil_axis: Axis::X,
+            weight: Default::default(),
+            nthreads,
+        };
+        let supervisor = SupervisorConfig {
+            nthreads,
+            max_retries,
+            backoff_base: Duration::from_millis(5),
+            timeout: Some(Duration::from_millis(100)),
+            watchdog_poll: Duration::from_millis(5),
+            ..Default::default()
+        };
+        let policy = ExecPolicy::brownout(supervisor, DeadlineBudget::none(), None);
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let outcome = try_bilateral3d_with_policy(&grid, &mut out, &run, &policy, &plan).unwrap();
+
+        let bound = stalled.len() * (max_retries as usize + 1);
+        assert!(
+            outcome.report.replacements <= bound,
+            "{nthreads} threads: {} replacement workers for {} stalled pencils \
+             (at most {bound}); quality: {}",
+            outcome.report.replacements,
+            stalled.len(),
+            outcome.quality
+        );
+        for e in outcome.quality.entries() {
+            assert!(
+                stalled.contains(&e.unit) || panicking.contains(&e.unit) || flaky.contains(&e.unit),
+                "{nthreads} threads: healthy pencil {} browned out ({}); quality: {}",
+                e.unit,
+                e.reason,
+                outcome.quality
+            );
+        }
+        assert!(
+            outcome.output_is_whole(),
+            "{nthreads} threads: finite input must repair to whole, got {}",
             outcome.defects
         );
     }
